@@ -248,7 +248,6 @@ void BrisaStream::on_neighbor_watermark(net::NodeId peer,
     it->second.position.cum_delay_us =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(aux, 0xffffffff));
     it->second.ka_cum_fresh = true;
-    it->second.position_updated_at = now();
   }
 }
 
@@ -534,7 +533,6 @@ void BrisaStream::record_position(net::NodeId peer, const PositionInfo& position
   Link& link = links_[peer];
   if (!position.known) return;
   link.position = position;
-  link.position_updated_at = now();
 }
 
 PositionInfo BrisaStream::my_position() const {

@@ -48,6 +48,7 @@
 #include "sim/rng.h"
 #include "util/flat_map.h"
 #include "util/flat_seq_map.h"
+#include "util/small_vec.h"
 
 namespace brisa::core {
 
@@ -199,17 +200,20 @@ class BrisaStream final {
     /// This neighbor has relayed stream data to us at least once; drives the
     /// Fig 13 construction-time probe.
     bool seen_data = false;
+    /// The position's cum_delay field has been refreshed by a keep-alive
+    /// (§II-F piggyback), even if the rest of the position is stale or
+    /// unknown.
+    bool ka_cum_fresh = false;
     /// Consecutive §II-G depth bumps this parent caused; a persistent
     /// ratchet marks a depth-tag cycle (see handle_data).
     std::uint32_t depth_bumps = 0;
     /// Last position metadata seen from this neighbor (data messages,
-    /// deactivations, resume acks); drives soft repair and strategies.
+    /// deactivations, resume acks); drives soft repair and strategies. Its
+    /// cum_delay_us sits a few bytes from ka_cum_fresh, so the keep-alive
+    /// refresh writes one cache line.
     PositionInfo position;
-    sim::TimePoint position_updated_at;
-    /// The cum_delay field has been refreshed by a keep-alive (§II-F
-    /// piggyback), even if the rest of the position is stale or unknown.
-    bool ka_cum_fresh = false;
   };
+  static_assert(sizeof(Link) <= 48, "keep the per-neighbor link compact");
 
   /// Cumulative bumps a single parent may cause before being treated as a
   /// cycle. A legitimate upstream reorganization causes one bump; a cycle
@@ -315,21 +319,31 @@ class BrisaStream final {
   sim::TimePoint started_at_;
   std::uint64_t next_seq_ = 0;
 
+  // The keep-alive block: what a neighbor's keep-alive watermark touches
+  // (on_neighbor_watermark) spans three cache lines. The link map opens on
+  // a line boundary, so its first line holds the whole binary search (key
+  // header, inline keys) and the value pointer; one value line follows; and
+  // the line after the inline links holds the heard watermark beside the
+  // two fields our own entry reports (watermark_entry, which the engine
+  // compares on every keep-alive it answers): the cumulative delay and the
+  // dedup set's maximum (SeqSet keeps max_ first).
+
   /// Per-neighbor dissemination links, sorted by id (flat storage keeps the
   /// deterministic iteration order the std::map version had, minus the
   /// pointer chases on every handle_data lookup).
-  util::FlatMap<net::NodeId, Link, 8> links_;
+  alignas(64) util::FlatMap<net::NodeId, Link, 8> links_;
+  std::uint64_t watermark_heard_ = 0;
+  std::uint64_t cum_delay_us_ = 0;  ///< accumulated hop delay from the source
+  /// Delivery bookkeeping. The dedup set shares util's flat seq-window
+  /// representation with the baselines: one presence bit per sequence.
+  util::SeqSet delivered_seqs_;
   util::FlatSet<net::NodeId, 4> parents_;
 
   // Position in the structure.
   std::vector<net::NodeId> path_;  ///< tree mode; includes self when known
   std::int32_t depth_ = -1;        ///< DAG mode
-  std::uint64_t cum_delay_us_ = 0; ///< accumulated hop delay from the source
   bool position_known_ = false;
 
-  // Delivery bookkeeping. The dedup set shares util's flat seq-window
-  // representation with the baselines: one presence bit per sequence.
-  util::SeqSet delivered_seqs_;
   std::uint64_t contiguous_upto_ = 0;  ///< all seqs < this are delivered
   std::deque<std::pair<std::uint64_t, std::size_t>> payload_buffer_;
   std::size_t payload_buffer_bytes_ = 0;
@@ -338,7 +352,6 @@ class BrisaStream final {
   std::optional<RepairState> repair_;
   RepairKind repair_kind_ = RepairKind::kOrphanFailure;
   bool gap_probe_armed_ = false;
-  std::uint64_t watermark_heard_ = 0;
   sim::TimePoint last_delivery_at_;
   std::uint64_t repair_token_counter_ = 0;
 
@@ -384,12 +397,29 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
   void on_neighbor_watermark(net::NodeId peer, net::StreamId stream,
                              std::uint64_t watermark,
                              std::uint64_t aux) override;
+  /// One entry per locally active stream, ascending by id. Each request
+  /// compares the streams' current entries with the cached snapshot and
+  /// builds a new one only when some (watermark, aux) moved, so a keep-alive
+  /// tick or reply with nothing new shares the previous snapshot by
+  /// refcount.
+  [[nodiscard]] membership::WatermarkSnapshot watermark_snapshot() override;
+
+  /// Snapshots built so far (one per request that found an entry moved).
+  [[nodiscard]] std::uint64_t watermark_snapshot_rebuilds() const {
+    return snapshot_rebuilds_;
+  }
 
  private:
   membership::PeerSamplingService& pss_;
-  /// Index = StreamId; nullptr for ids never added (sparse use).
-  std::vector<std::unique_ptr<BrisaStream>> streams_;
+  /// Index = StreamId; nullptr for ids never added (sparse use). One slot
+  /// inline: a single-stream node reaches its stream without an extra
+  /// cache miss on every keep-alive watermark.
+  util::SmallVec<std::unique_ptr<BrisaStream>, 1> streams_;
   std::size_t stream_count_ = 0;
+  /// The keep-alive piggyback this node currently sends (see
+  /// watermark_snapshot); owned here, shared with in-flight probes.
+  membership::WatermarkSnapshot snapshot_;
+  std::uint64_t snapshot_rebuilds_ = 0;
 };
 
 }  // namespace brisa::core

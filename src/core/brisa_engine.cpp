@@ -1,6 +1,11 @@
 #include "core/brisa.h"
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "util/assert.h"
+#include "util/small_vec.h"
 
 namespace brisa::core {
 
@@ -8,19 +13,11 @@ BrisaEngine::BrisaEngine(net::Network& network,
                          membership::PeerSamplingService& pss, net::NodeId id)
     : net::Process(network, id), pss_(pss) {
   pss_.set_listener(this);
-  pss_.set_watermark_provider([this]() {
-    std::vector<membership::AppWatermark> entries;
-    entries.reserve(stream_count_);
-    for (const auto& stream : streams_) {
-      if (stream != nullptr) entries.push_back(stream->watermark_entry());
-    }
-    return entries;
-  });
 }
 
 BrisaStream& BrisaEngine::add_stream(net::StreamId stream,
                                      BrisaStream::Config config) {
-  if (streams_.size() <= stream) streams_.resize(stream + 1);
+  while (streams_.size() <= stream) streams_.emplace_back();
   BRISA_ASSERT_MSG(streams_[stream] == nullptr, "stream id already active");
   streams_[stream] = std::make_unique<BrisaStream>(*this, stream, config);
   ++stream_count_;
@@ -77,6 +74,25 @@ void BrisaEngine::on_neighbor_watermark(net::NodeId peer, net::StreamId stream,
   if (BrisaStream* s = find_stream(stream)) {
     s->on_neighbor_watermark(peer, watermark, aux);
   }
+}
+
+membership::WatermarkSnapshot BrisaEngine::watermark_snapshot() {
+  util::SmallVec<membership::AppWatermark, 4> entries;
+  for (const auto& stream : streams_) {
+    if (stream != nullptr) entries.push_back(stream->watermark_entry());
+  }
+  const bool unchanged =
+      snapshot_ ? std::equal(entries.begin(), entries.end(),
+                             snapshot_->begin(), snapshot_->end())
+                : entries.empty();
+  if (!unchanged) {
+    // A fresh vector, never an in-place update: keep-alives still in flight
+    // hold the previous snapshot and must deliver what they were sent with.
+    snapshot_ = std::make_shared<const std::vector<membership::AppWatermark>>(
+        entries.begin(), entries.end());
+    ++snapshot_rebuilds_;
+  }
+  return snapshot_;
 }
 
 void BrisaEngine::on_app_message(net::NodeId from, net::MessagePtr message) {

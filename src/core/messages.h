@@ -27,21 +27,24 @@ enum class StructureMode : std::uint8_t {
 /// A node's claim about its position in the dissemination structure, plus
 /// the attributes consumed by the parent-selection strategies (§II-E, §IV).
 struct PositionInfo {
-  bool known = false;
-  /// Tree mode: identifiers from the stream source up to and including the
-  /// claiming node.
-  std::vector<net::NodeId> path;
+  // Scalars first and packed (40 bytes in all): cum_delay_us leads because
+  // keep-alives refresh it on every cached neighbor position.
+
+  /// Estimated cumulative delay from the stream source in microseconds —
+  /// the "cumulative round trip times, taken at each hop" of §III-B, carried
+  /// so the delay-aware strategy can minimize end-to-end delay rather than
+  /// the last hop only.
+  std::uint32_t cum_delay_us = 0;
   /// DAG mode: the claiming node's depth (source = 0); -1 when unknown.
   std::int32_t depth = -1;
   /// Uptime in seconds (gerontocratic strategy).
   std::uint32_t uptime_s = 0;
   /// Current out-degree (load-balancing strategy).
   std::uint16_t degree = 0;
-  /// Estimated cumulative delay from the stream source in microseconds —
-  /// the "cumulative round trip times, taken at each hop" of §III-B, carried
-  /// so the delay-aware strategy can minimize end-to-end delay rather than
-  /// the last hop only.
-  std::uint32_t cum_delay_us = 0;
+  bool known = false;
+  /// Tree mode: identifiers from the stream source up to and including the
+  /// claiming node.
+  std::vector<net::NodeId> path;
 
   /// Bytes this metadata occupies inside a message.
   [[nodiscard]] std::size_t wire_bytes(StructureMode mode) const {

@@ -6,11 +6,16 @@
 #include "net/message_pool.h"
 #include "util/assert.h"
 #include "util/logging.h"
+#include "util/small_vec.h"
 
 namespace brisa::membership {
 
 namespace {
 constexpr net::TrafficClass kTc = net::TrafficClass::kMembership;
+/// Stack scratch for view samples: large enough for any configured view, so
+/// shuffle upkeep builds no temporary vectors (larger views still work, by
+/// spilling to the heap).
+using ViewScratch = util::SmallVec<net::NodeId, 32>;
 }  // namespace
 
 HyParView::HyParView(net::Network& network, net::Transport& transport,
@@ -203,8 +208,7 @@ void HyParView::handle_forward_join(net::NodeId from,
   ++counters_.forward_joins;
   const net::NodeId joiner = msg.joiner();
   if (joiner == id()) return;
-  const std::vector<net::NodeId> peers = established_peers();
-  if (msg.ttl() <= 0 || peers.size() <= 1) {
+  if (msg.ttl() <= 0 || established_peers().size() <= 1) {
     if (links_.find(joiner) == links_.end()) {
       dial(joiner, DialPurpose::kForwardJoinAccept);
     }
@@ -213,17 +217,16 @@ void HyParView::handle_forward_join(net::NodeId from,
   if (msg.ttl() == config_.passive_rwl) add_passive(joiner);
   // Forward the walk to a random neighbor that is neither the sender nor the
   // joiner itself.
-  std::vector<net::NodeId> candidates;
-  for (const net::NodeId peer : peers) {
-    if (peer != from && peer != joiner) candidates.push_back(peer);
-  }
-  if (candidates.empty()) {
+  const net::NodeId* pick = rng_.pick_if(
+      established_peers(),
+      [&](net::NodeId peer) { return peer != from && peer != joiner; });
+  if (pick == nullptr) {
     if (links_.find(joiner) == links_.end()) {
       dial(joiner, DialPurpose::kForwardJoinAccept);
     }
     return;
   }
-  const net::NodeId next = rng_.pick(candidates);
+  const net::NodeId next = *pick;
   send_control(next,
                net::make_message<HpvForwardJoin>(joiner, msg.ttl() - 1));
 }
@@ -312,14 +315,13 @@ void HyParView::handle_disconnect(net::ConnectionId conn, net::NodeId from) {
 }
 
 void HyParView::handle_shuffle(net::NodeId from, const HpvShuffle& msg) {
-  const std::vector<net::NodeId> peers = established_peers();
-  if (msg.ttl() > 0 && peers.size() > 1) {
-    std::vector<net::NodeId> candidates;
-    for (const net::NodeId peer : peers) {
-      if (peer != from && peer != msg.origin()) candidates.push_back(peer);
-    }
-    if (!candidates.empty()) {
-      send_control(rng_.pick(candidates),
+  if (msg.ttl() > 0 && established_peers().size() > 1) {
+    const net::NodeId* pick = rng_.pick_if(
+        established_peers(),
+        [&](net::NodeId peer) { return peer != from && peer != msg.origin(); });
+    if (pick != nullptr) {
+      const net::NodeId next = *pick;
+      send_control(next,
                    net::make_message<HpvShuffle>(msg.origin(), msg.ttl() - 1,
                                                 msg.sample()));
       return;
@@ -328,10 +330,12 @@ void HyParView::handle_shuffle(net::NodeId from, const HpvShuffle& msg) {
   // Accept the shuffle: reply with a passive sample of the same size, then
   // integrate the received identifiers.
   if (msg.origin() != id()) {
-    const std::vector<net::NodeId> reply_sample =
-        rng_.sample(passive_candidates(), msg.sample().size());
+    ViewScratch reply_sample;
+    rng_.sample_into(passive_, msg.sample().size(), reply_sample);
     network().send_datagram(
-        id(), msg.origin(), net::make_message<HpvShuffleReply>(reply_sample),
+        id(), msg.origin(),
+        net::make_message<HpvShuffleReply>(std::vector<net::NodeId>(
+            reply_sample.begin(), reply_sample.end())),
         kTc);
     integrate_shuffle_sample(msg.sample(), {});
   }
@@ -356,8 +360,8 @@ void HyParView::integrate_shuffle_sample(
         }
       }
       if (!evicted) {
-        const std::vector<net::NodeId> pool(passive_.begin(), passive_.end());
-        passive_.erase(rng_.pick(pool));
+        const net::NodeId victim = rng_.pick(passive_);
+        passive_.erase(victim);
       }
     }
     passive_.insert(candidate);
@@ -365,13 +369,12 @@ void HyParView::integrate_shuffle_sample(
 }
 
 WatermarkSnapshot HyParView::current_watermarks() const {
-  if (!watermark_provider_) return nullptr;
-  return std::make_shared<const std::vector<AppWatermark>>(
-      watermark_provider_());
+  return listener_ != nullptr ? listener_->watermark_snapshot()
+                              : WatermarkSnapshot();
 }
 
 void HyParView::notify_watermarks(net::NodeId from,
-                                  const std::vector<AppWatermark>& entries) {
+                                  std::span<const AppWatermark> entries) {
   if (listener_ == nullptr) return;
   for (const AppWatermark& entry : entries) {
     listener_->on_neighbor_watermark(from, entry.stream, entry.watermark,
@@ -444,12 +447,11 @@ void HyParView::drop_active(net::NodeId peer, NeighborLossReason reason,
 void HyParView::evict_if_needed(net::NodeId keep, std::size_t threshold) {
   while (active_count() > threshold) {
     ++counters_.evictions;
-    std::vector<net::NodeId> peers = established_;
     // The node just accommodated stays (the joiner displaces someone else).
-    if (peers.size() > 1 && keep.valid()) {
-      peers.erase(std::remove(peers.begin(), peers.end(), keep), peers.end());
-    }
-    const net::NodeId victim = rng_.pick(peers);
+    const bool spare_keep = established_.size() > 1 && keep.valid();
+    const net::NodeId victim = *rng_.pick_if(
+        established_,
+        [&](net::NodeId peer) { return !spare_keep || peer != keep; });
     send_control(victim, net::make_message<HpvDisconnect>());
     drop_active(victim, NeighborLossReason::kEvicted, /*close_conn=*/true);
     add_passive(victim);
@@ -464,9 +466,8 @@ void HyParView::maybe_promote_replacement() {
     if (link.state != LinkState::kEstablished) ++in_progress;
   }
   while (active_count() + in_progress < config_.active_size) {
-    const std::vector<net::NodeId> candidates = passive_candidates();
-    if (candidates.empty()) return;
-    const net::NodeId candidate = rng_.pick(candidates);
+    if (passive_.empty()) return;
+    const net::NodeId candidate = rng_.pick(passive_);
     ++counters_.promotions;
     dial(candidate, active_count() == 0 ? DialPurpose::kNeighborHigh
                                         : DialPurpose::kNeighborLow);
@@ -478,8 +479,8 @@ void HyParView::add_passive(net::NodeId peer) {
   if (peer == id() || links_.find(peer) != links_.end()) return;
   if (passive_.count(peer) > 0) return;
   if (passive_.size() >= config_.passive_size) {
-    const std::vector<net::NodeId> pool(passive_.begin(), passive_.end());
-    passive_.erase(rng_.pick(pool));
+    const net::NodeId victim = rng_.pick(passive_);
+    passive_.erase(victim);
   }
   passive_.insert(peer);
 }
@@ -503,20 +504,16 @@ void HyParView::send_control(net::NodeId peer, net::MessagePtr message) {
   transport_.send(it->second.conn, id(), std::move(message), kTc);
 }
 
-std::vector<net::NodeId> HyParView::passive_candidates() const {
-  return {passive_.begin(), passive_.end()};
-}
-
 std::size_t HyParView::active_count() const { return established_.size(); }
 
 std::vector<net::NodeId> HyParView::passive_view() const {
-  return passive_candidates();
+  return {passive_.begin(), passive_.end()};
 }
 
 // --- Timers -----------------------------------------------------------------
 
 void HyParView::on_shuffle_timer() {
-  const std::vector<net::NodeId> peers = established_peers();
+  const std::vector<net::NodeId>& peers = established_peers();
   if (peers.empty()) {
     // Isolated node: promote from the passive view, or — with nothing left
     // at all — fall back to re-joining through the original contact.
@@ -528,16 +525,16 @@ void HyParView::on_shuffle_timer() {
     return;
   }
   ++counters_.shuffles_sent;
+  // The message owns its sample; only that one vector is allocated.
   std::vector<net::NodeId> sample;
+  sample.reserve(1 + config_.shuffle_active_sample +
+                 config_.shuffle_passive_sample);
   sample.push_back(id());
-  for (const net::NodeId peer :
-       rng_.sample(peers, config_.shuffle_active_sample)) {
-    sample.push_back(peer);
-  }
-  for (const net::NodeId peer :
-       rng_.sample(passive_candidates(), config_.shuffle_passive_sample)) {
-    sample.push_back(peer);
-  }
+  ViewScratch drawn;
+  rng_.sample_into(peers, config_.shuffle_active_sample, drawn);
+  sample.insert(sample.end(), drawn.begin(), drawn.end());
+  rng_.sample_into(passive_, config_.shuffle_passive_sample, drawn);
+  sample.insert(sample.end(), drawn.begin(), drawn.end());
   last_shuffle_sent_ = sample;
   send_control(rng_.pick(peers),
                net::make_message<HpvShuffle>(id(), config_.shuffle_ttl,
@@ -545,8 +542,8 @@ void HyParView::on_shuffle_timer() {
 }
 
 void HyParView::on_keepalive_timer() {
-  // One provider call per tick; each link's probe shares the snapshot by
-  // refcount instead of copying the entries.
+  // One snapshot per tick; each link's probe shares it by refcount instead
+  // of copying the entries.
   const WatermarkSnapshot watermarks = current_watermarks();
   // Collect first: fail_link mutates links_.
   std::vector<net::NodeId> timed_out;

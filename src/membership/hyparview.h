@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "membership/messages.h"
@@ -64,9 +65,6 @@ class HyParView final : public PeerSamplingService,
                 net::TrafficClass traffic_class) override;
   [[nodiscard]] sim::Duration rtt_estimate(net::NodeId peer) const override;
   void set_listener(PssListener* listener) override { listener_ = listener; }
-  void set_watermark_provider(WatermarkProvider provider) override {
-    watermark_provider_ = std::move(provider);
-  }
 
   // --- TransportHandler ------------------------------------------------------
   void on_connection_up(net::ConnectionId conn, net::NodeId peer,
@@ -137,7 +135,7 @@ class HyParView final : public PeerSamplingService,
                                 const std::vector<net::NodeId>& sent);
   [[nodiscard]] WatermarkSnapshot current_watermarks() const;
   void notify_watermarks(net::NodeId from,
-                         const std::vector<AppWatermark>& entries);
+                         std::span<const AppWatermark> entries);
   void handle_keepalive(net::ConnectionId conn, net::NodeId from,
                         const HpvKeepAlive& msg);
   void handle_keepalive_reply(net::NodeId from, const HpvKeepAliveReply& msg);
@@ -156,7 +154,6 @@ class HyParView final : public PeerSamplingService,
   [[nodiscard]] const std::vector<net::NodeId>& established_peers() const {
     return established_;
   }
-  [[nodiscard]] std::vector<net::NodeId> passive_candidates() const;
 
   // Timers.
   void start_timers();
@@ -168,7 +165,6 @@ class HyParView final : public PeerSamplingService,
   Config config_;
   sim::Rng rng_;
   PssListener* listener_ = nullptr;
-  WatermarkProvider watermark_provider_;
 
   /// Active view + in-progress links. Sorted flat storage: the per-send
   /// lookup is a binary search over one or two cache lines, and iteration

@@ -140,13 +140,6 @@ class HpvShuffleReply final : public net::Message {
   std::vector<net::NodeId> sample_;
 };
 
-/// Shared immutable per-stream watermark snapshot: one keep-alive tick
-/// builds the entries once, and every outgoing probe that tick bumps a
-/// refcount instead of copying the vector (keep-alives are steady-state
-/// hot-path traffic; see WatermarkSnapshot uses in hyparview.cpp).
-using WatermarkSnapshot =
-    std::shared_ptr<const std::vector<AppWatermark>>;
-
 /// Keep-alives double as RTT probes for the delay-aware parent selection
 /// (§II-E) and piggyback per-stream repair metadata (§II-F): one
 /// AppWatermark entry per locally active stream. Wire cost: 16 bytes header

@@ -6,7 +6,8 @@
 // be substituted for the §IV "perspectives" experiments.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/message.h"
@@ -33,7 +34,17 @@ struct AppWatermark {
   /// Second application-defined value; BRISA carries the stream's cumulative
   /// path delay (µs) feeding the delay-aware parent selection.
   std::uint64_t aux = 0;
+
+  bool operator==(const AppWatermark&) const = default;
 };
+
+/// Immutable per-stream watermark entries shared by every keep-alive that
+/// carries them: a probe holds a reference, never a copy, so sending one
+/// allocates nothing. The listener that owns the snapshot replaces it when
+/// an entry changes and never mutates it in place, which is what lets a
+/// probe already in flight deliver the values it was sent with. A null
+/// (default-constructed) snapshot carries no entries.
+using WatermarkSnapshot = std::shared_ptr<const std::vector<AppWatermark>>;
 
 class PssListener {
  public:
@@ -56,6 +67,15 @@ class PssListener {
                                      net::StreamId /*stream*/,
                                      std::uint64_t /*watermark*/,
                                      std::uint64_t /*aux*/) {}
+
+  /// The entries outgoing keep-alives and keep-alive replies carry, one per
+  /// locally active stream; a null (default-constructed) snapshot carries
+  /// none. Called once per keep-alive tick and once per reply, so
+  /// implementations return a cached snapshot.
+  /// Default: no application progress to piggyback.
+  [[nodiscard]] virtual WatermarkSnapshot watermark_snapshot() {
+    return {};
+  }
 };
 
 class PeerSamplingService {
@@ -84,11 +104,6 @@ class PeerSamplingService {
   [[nodiscard]] virtual sim::Duration rtt_estimate(net::NodeId peer) const = 0;
 
   virtual void set_listener(PssListener* listener) = 0;
-
-  /// Supplies the per-stream watermark entries carried in outgoing
-  /// keep-alives (one AppWatermark per locally active stream).
-  using WatermarkProvider = std::function<std::vector<AppWatermark>()>;
-  virtual void set_watermark_provider(WatermarkProvider provider) = 0;
 };
 
 }  // namespace brisa::membership

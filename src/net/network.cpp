@@ -130,22 +130,6 @@ void Network::resume(NodeId node) {
   }
 }
 
-bool Network::suspended(NodeId node) const {
-  if (!node.valid() || node.index() >= hosts_.size()) return false;
-  return hosts_[node.index()].is_suspended;
-}
-
-bool Network::responsive(NodeId node) const {
-  if (!node.valid() || node.index() >= hosts_.size()) return false;
-  const Host& h = hosts_[node.index()];
-  return h.alive && !h.is_suspended;
-}
-
-bool Network::alive(NodeId node) const {
-  if (!node.valid() || node.index() >= hosts_.size()) return false;
-  return hosts_[node.index()].alive;
-}
-
 void Network::install_fault_plan(const FaultPlan* plan) {
   BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
                    "install_fault_plan from a host-lane event");
@@ -372,7 +356,6 @@ sim::TimePoint Network::nic_send_host(Host& h, std::size_t wire_bytes,
   const auto tc = static_cast<std::size_t>(traffic_class);
   h.stats.up_bytes[tc] += total_bytes;
   h.stats.up_messages[tc] += 1;
-  ++h.messages_sent;
   return done;
 }
 
@@ -479,7 +462,12 @@ bool Network::tx_defer(NodeId node) {
 }
 
 sim::Duration Network::sample_flight(NodeId from, NodeId to) {
-  sim::Duration flight = latency_->sample(from, to, host(from).rng);
+  return sample_flight_host(host(from), from, to);
+}
+
+sim::Duration Network::sample_flight_host(Host& sender, NodeId from,
+                                          NodeId to) {
+  sim::Duration flight = latency_->sample(from, to, sender.rng);
   if (fault_plan_ != nullptr) [[unlikely]] {
     flight = fault_adjust(from, to, flight);
   }
@@ -504,6 +492,9 @@ const BandwidthStats& Network::stats(NodeId node) const {
 
 void Network::reset_stats() {
   for (Host& h : hosts_) {
+    for (const std::uint64_t sent : h.stats.up_messages) {
+      h.messages_sent_before_reset += sent;
+    }
     h.stats.reset();
     h.peak_nic_backlog = sim::Duration::zero();
     h.peak_cpu_backlog = sim::Duration::zero();
@@ -512,7 +503,10 @@ void Network::reset_stats() {
 
 std::uint64_t Network::messages_sent() const {
   std::uint64_t total = 0;
-  for (const Host& h : hosts_) total += h.messages_sent;
+  for (const Host& h : hosts_) {
+    total += h.messages_sent_before_reset;
+    for (const std::uint64_t sent : h.stats.up_messages) total += sent;
+  }
   return total;
 }
 

@@ -27,10 +27,12 @@
 namespace brisa::net {
 
 struct BandwidthStats {
-  std::array<std::uint64_t, kTrafficClassCount> up_bytes{};
+  // Receive counters first, each direction's pair adjacent: a delivery
+  // updates one cache line of its host's record (see Network::Host).
   std::array<std::uint64_t, kTrafficClassCount> down_bytes{};
-  std::array<std::uint64_t, kTrafficClassCount> up_messages{};
   std::array<std::uint64_t, kTrafficClassCount> down_messages{};
+  std::array<std::uint64_t, kTrafficClassCount> up_bytes{};
+  std::array<std::uint64_t, kTrafficClassCount> up_messages{};
   /// Outbound messages eaten by the fault layer at this host: probabilistic
   /// loss (`dropped`) vs partition/crash suppression (`blackholed`).
   std::array<std::uint64_t, kTrafficClassCount> dropped_messages{};
@@ -119,11 +121,19 @@ class Network : public sim::DeliverEvent::Sink {
   /// not responsive(). No-op on dead or already-suspended hosts.
   void suspend(NodeId node);
   void resume(NodeId node);
-  [[nodiscard]] bool suspended(NodeId node) const;
+  [[nodiscard]] bool suspended(NodeId node) const {
+    return known(node) && hosts_[node.index()].is_suspended;
+  }
   /// alive and not suspended: can currently send and receive.
-  [[nodiscard]] bool responsive(NodeId node) const;
+  [[nodiscard]] bool responsive(NodeId node) const {
+    return known(node) && hosts_[node.index()].alive &&
+           !hosts_[node.index()].is_suspended;
+  }
 
-  [[nodiscard]] bool alive(NodeId node) const;
+  /// Inline: every timer firing and connection-setup step asks it.
+  [[nodiscard]] bool alive(NodeId node) const {
+    return known(node) && hosts_[node.index()].alive;
+  }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] std::size_t alive_count() const { return alive_count_; }
   /// Ids of the alive hosts, ascending. The vector is cached and only
@@ -284,6 +294,11 @@ class Network : public sim::DeliverEvent::Sink {
   [[nodiscard]] std::uint64_t messages_sent() const;
 
  private:
+  /// The transport is the reliable-segment half of this resource model: its
+  /// per-segment send and delivery paths resolve a Host once (find_host),
+  /// read its alive/is_suspended flags and call the *_host variants below.
+  friend class Transport;
+
   /// Delivery stages encoded in DeliverEvent::tag.
   enum DatagramStage : std::uint16_t {
     kDatagramArrival = 0,   ///< left the wire; charge receive, queue CPU
@@ -298,26 +313,33 @@ class Network : public sim::DeliverEvent::Sink {
   /// possibly in parallel with other hosts' lanes under sharded execution.
   /// Membership flags (alive/is_suspended) are written only from serial
   /// phases and merely read from host lanes.
-  struct Host {
+  ///
+  /// Cache-line aligned, hottest first: the first line holds everything a
+  /// send or a delivery touches except the traffic counters, and the
+  /// receive counters open the second line.
+  struct alignas(64) Host {
     bool alive = true;
     bool is_suspended = false;
     sim::TimePoint nic_free_at = sim::TimePoint::origin();
     sim::TimePoint cpu_free_at = sim::TimePoint::origin();
     double cpu_cost_factor = 1.0;
-    DatagramHandler* datagram_handler = nullptr;
     /// Lane-local draw stream (latency jitter as sender, rx cost as
     /// receiver, failure-detect jitter): a pure function of (key, #draws
     /// this host made), so partition-independent.
     sim::CounterRng rng;
+    sim::Duration peak_nic_backlog = sim::Duration::zero();
+    sim::Duration peak_cpu_backlog = sim::Duration::zero();
+    BandwidthStats stats;
+    /// Messages counted by stats.up_messages before the last reset_stats(),
+    /// so messages_sent() survives resets without a third counter to bump
+    /// on every send.
+    std::uint64_t messages_sent_before_reset = 0;
+    DatagramHandler* datagram_handler = nullptr;
     /// Lane-local fault dice (loss rules roll on the sender's lane).
     /// Keyed only while a fault plan is installed.
     sim::CounterRng fault_rng;
-    BandwidthStats stats;
     /// This host's share of the link-level FaultTotals fields.
     FaultTotals faults;
-    std::uint64_t messages_sent = 0;
-    sim::Duration peak_nic_backlog = sim::Duration::zero();
-    sim::Duration peak_cpu_backlog = sim::Duration::zero();
     /// AIMD optional-traffic gate (tx_defer): Q8 send gain (256 = full
     /// rate), token-bucket credit, and the start of the current sustained
     /// -underuse streak (TimePoint::max() = no streak in progress).
@@ -328,6 +350,13 @@ class Network : public sim::DeliverEvent::Sink {
 
   Host& host(NodeId node);
   const Host& host(NodeId node) const;
+  [[nodiscard]] bool known(NodeId node) const {
+    return node.valid() && node.index() < hosts_.size();
+  }
+  /// nullptr for an id this network never added.
+  [[nodiscard]] Host* find_host(NodeId node) {
+    return known(node) ? &hosts_[node.index()] : nullptr;
+  }
 
   /// Hot-path variants of the resource model taking an already-resolved
   /// Host&: send/deliver does one bounds-checked table lookup, not four.
@@ -337,6 +366,9 @@ class Network : public sim::DeliverEvent::Sink {
                            TrafficClass traffic_class);
   sim::TimePoint cpu_deliver_host(Host& h, sim::TimePoint arrival,
                                   std::size_t wire_bytes);
+  /// sample_flight with the sender's record already resolved.
+  [[nodiscard]] sim::Duration sample_flight_host(Host& sender, NodeId from,
+                                                 NodeId to);
 
   /// Which fault-rule node groups mention a host: or-ed kFault* bits. A link
   /// whose endpoints carry no bits cannot match any rule, so the hot path

@@ -54,11 +54,12 @@ ConnectionId Transport::allocate_half(NodeId at) {
     hs.slots.emplace_back();
   }
   BRISA_ASSERT_MSG(slot + 1 < (1u << kSlotBits), "per-host half slab full");
-  HalfSlot& s = hs.slots[slot];
-  s.half = Half{};
+  Half& s = hs.slots[slot];
+  const std::uint32_t gen = s.gen;
+  s = Half{};
+  s.gen = gen;
   s.open = true;
-  s.next_free = kNil;
-  return pack_id(at.index(), slot, s.gen);
+  return pack_id(at.index(), slot, gen);
 }
 
 void Transport::erase_half(ConnectionId conn) {
@@ -68,7 +69,7 @@ void Transport::erase_half(ConnectionId conn) {
   HostState& hs = hosts_[hidx];
   const std::uint32_t slot = slot_of(conn);
   if (slot >= hs.slots.size()) return;
-  HalfSlot& s = hs.slots[slot];
+  Half& s = hs.slots[slot];
   if (!s.open || s.gen != gen_of(conn)) return;  // already erased
   s.open = false;
   // Bumping the generation invalidates every outstanding handle; 0 would
@@ -86,9 +87,9 @@ Transport::Half* Transport::find(ConnectionId conn) {
   HostState& hs = hosts_[hidx];
   const std::uint32_t slot = slot_of(conn);
   if (slot >= hs.slots.size()) return nullptr;
-  HalfSlot& s = hs.slots[slot];
+  Half& s = hs.slots[slot];
   if (!s.open || s.gen != gen_of(conn)) return nullptr;
-  return &s.half;
+  return &s;
 }
 
 const Transport::Half* Transport::find(ConnectionId conn) const {
@@ -105,10 +106,10 @@ Transport::Half* Transport::find_by_peer_half(NodeId at,
   // peer_half is generation-tagged and therefore globally unique, so the
   // first match is the only one.
   for (std::uint32_t slot = 0; slot < hs.slots.size(); ++slot) {
-    HalfSlot& s = hs.slots[slot];
-    if (s.open && s.half.peer_half == peer_half) {
+    Half& s = hs.slots[slot];
+    if (s.open && s.peer_half == peer_half) {
       *id_out = pack_id(at.index(), slot, s.gen);
-      return &s.half;
+      return &s;
     }
   }
   return nullptr;
@@ -137,8 +138,9 @@ ConnectionId Transport::connect(NodeId from, NodeId to) {
   h->initiated = true;
 
   // SYN: from -> to, subject to the fault layer.
-  const std::optional<sim::TimePoint> syn_sent = transmit_segment(
-      from, to, kControlSegmentBytes, TrafficClass::kMembership);
+  const std::optional<sim::TimePoint> syn_sent =
+      transmit_segment(network_.host(from), from, to, kControlSegmentBytes,
+                       TrafficClass::kMembership);
   if (!syn_sent) {
     // Partitioned link: SYN vanishes, initiator times out.
     erase_half(conn);
@@ -175,8 +177,9 @@ void Transport::handle_syn(ConnectionId initiator_half, NodeId from,
   // the FIFO clamp then orders it ahead of anything the handler does to the
   // fresh connection (data, or even an immediate FIN), so the initiator
   // always learns the acceptor's half id first.
-  const std::optional<sim::TimePoint> ack_sent = transmit_segment(
-      to, from, kControlSegmentBytes, TrafficClass::kMembership);
+  const std::optional<sim::TimePoint> ack_sent =
+      transmit_segment(network_.host(to), to, from, kControlSegmentBytes,
+                       TrafficClass::kMembership);
   if (!ack_sent) {
     // SYN-ACK lost to a partition: the acceptor never saw the connection
     // (no callback fired yet), so retire its half silently; the initiator
@@ -234,8 +237,9 @@ void Transport::close(ConnectionId conn, NodeId closer) {
   }
   // FIN: closer -> peer. Shares the per-direction FIFO clamp with send(),
   // so it cannot overtake data (or the SYN-ACK) already in flight.
-  const std::optional<sim::TimePoint> fin_sent = transmit_segment(
-      closer, peer, kControlSegmentBytes, TrafficClass::kMembership);
+  const std::optional<sim::TimePoint> fin_sent =
+      transmit_segment(network_.host(closer), closer, peer,
+                       kControlSegmentBytes, TrafficClass::kMembership);
   if (!fin_sent) {
     // FIN vanished into the partition: the peer sees a failure after its
     // detection delay (RST-on-timeout) instead of a graceful close; the
@@ -359,14 +363,16 @@ bool Transport::send(ConnectionId conn, NodeId sender, MessagePtr message,
   if (host_of(conn) != sender.index()) return false;
   Half* h = find(conn);
   if (h == nullptr || h->state != State::kEstablished) return false;
-  // No suspension check needed: suspending a host severs every one of its
+  // The sender's network record, fetched once for the whole send. No
+  // suspension check needed: suspending a host severs every one of its
   // halves, so the established check above already rejects frozen senders.
-  if (!network_.alive(sender)) return false;
+  Network::Host* sender_host = network_.find_host(sender);
+  if (sender_host == nullptr || !sender_host->alive) return false;
   const NodeId receiver = h->peer;
 
   const std::size_t wire_bytes = message->wire_size();
-  const std::optional<sim::TimePoint> sent =
-      transmit_segment(sender, receiver, wire_bytes, traffic_class);
+  const std::optional<sim::TimePoint> sent = transmit_segment(
+      *sender_host, sender, receiver, wire_bytes, traffic_class);
   if (!sent) {
     // The segment was transmitted into a partition: TCP gives up and the
     // connection breaks, both ends learning after their detection delays.
@@ -401,8 +407,10 @@ void Transport::on_deliver(const sim::DeliverEvent& event) {
   const ConnectionId conn = event.id;  // the receiver's own half
   const NodeId sender(event.from);
   const NodeId receiver(event.to);
-  if (!network_.alive(receiver)) return;
-  if (network_.suspended(receiver)) {
+  // The receiver's network record, fetched once for every stage below.
+  Network::Host* receiver_host = network_.find_host(receiver);
+  if (receiver_host == nullptr || !receiver_host->alive) return;
+  if (receiver_host->is_suspended) {
     network_.note_rx_suppressed(receiver);
     return;
   }
@@ -411,10 +419,10 @@ void Transport::on_deliver(const sim::DeliverEvent& event) {
     // (receive charged below), a subsequent half erase must not eat the
     // message while it sits in the CPU queue.
     if (find(conn) == nullptr) return;
-    network_.charge_receive(receiver, event.bytes,
-                            static_cast<TrafficClass>(event.tclass));
-    const sim::TimePoint ready = network_.cpu_deliver(
-        receiver, network_.simulator().now(), event.bytes);
+    network_.charge_receive_host(*receiver_host, event.bytes,
+                                 static_cast<TrafficClass>(event.tclass));
+    const sim::TimePoint ready = network_.cpu_deliver_host(
+        *receiver_host, network_.simulator().now(), event.bytes);
     if (ready != network_.simulator().now()) {
       sim::DeliverEvent next = event;
       next.tag = kSegmentCpuReady;
@@ -446,8 +454,8 @@ NodeId Transport::peer_of(ConnectionId conn, NodeId self) const {
 std::size_t Transport::open_connections() const {
   std::size_t open = 0;
   for (const HostState& hs : hosts_) {
-    for (const HalfSlot& s : hs.slots) {
-      if (s.open && s.half.state != State::kClosed) ++open;
+    for (const Half& s : hs.slots) {
+      if (s.open && s.state != State::kClosed) ++open;
     }
   }
   return open;
@@ -456,20 +464,21 @@ std::size_t Transport::open_connections() const {
 // --- Segments ----------------------------------------------------------------
 
 std::optional<sim::TimePoint> Transport::transmit_segment(
-    NodeId sender, NodeId receiver, std::size_t wire_bytes,
-    TrafficClass traffic_class) {
+    Network::Host& sender_host, NodeId sender, NodeId receiver,
+    std::size_t wire_bytes, TrafficClass traffic_class) {
   sim::Duration penalty = sim::Duration::zero();
   const LinkVerdict verdict = resolve_segment_verdict(
       sender, receiver, wire_bytes, traffic_class, &penalty);
   const sim::TimePoint done =
-      network_.nic_send(sender, wire_bytes, traffic_class);
+      network_.nic_send_host(sender_host, wire_bytes, traffic_class);
   if (verdict == LinkVerdict::kBlackhole) {
     // The segment was transmitted (NIC charged) into a partition.
     network_.note_fault(sender, traffic_class, LinkVerdict::kBlackhole,
                         /*datagram=*/false);
     return std::nullopt;
   }
-  return done + penalty + network_.sample_flight(sender, receiver);
+  return done + penalty +
+         network_.sample_flight_host(sender_host, sender, receiver);
 }
 
 LinkVerdict Transport::resolve_segment_verdict(NodeId sender, NodeId receiver,
@@ -511,12 +520,12 @@ void Transport::on_host_killed(NodeId node) {
   HostState& hs = hosts_[node.index()];
   hs.resume_notices.clear();
   for (std::uint32_t slot = 0; slot < hs.slots.size(); ++slot) {
-    HalfSlot& s = hs.slots[slot];
+    const Half& s = hs.slots[slot];
     if (!s.open) continue;
     const ConnectionId conn = pack_id(node.index(), slot, s.gen);
-    const NodeId peer = s.half.peer;
-    const ConnectionId peer_half = s.half.peer_half;
-    const bool was_closed = s.half.state == State::kClosed;
+    const NodeId peer = s.peer;
+    const ConnectionId peer_half = s.peer_half;
+    const bool was_closed = s.state == State::kClosed;
     erase_half(conn);
     // Already-closed halves told their peer when they closed; a still-
     // kSynSent half (no peer_half yet) is resolved by handle_syn_ack
@@ -536,12 +545,12 @@ void Transport::on_host_suspended(NodeId node) {
   if (node.index() >= hosts_.size()) return;
   HostState& hs = hosts_[node.index()];
   for (std::uint32_t slot = 0; slot < hs.slots.size(); ++slot) {
-    HalfSlot& s = hs.slots[slot];
+    const Half& s = hs.slots[slot];
     if (!s.open) continue;
     const ConnectionId conn = pack_id(node.index(), slot, s.gen);
-    const NodeId peer = s.half.peer;
-    const ConnectionId peer_half = s.half.peer_half;
-    const bool was_closed = s.half.state == State::kClosed;
+    const NodeId peer = s.peer;
+    const ConnectionId peer_half = s.peer_half;
+    const bool was_closed = s.state == State::kClosed;
     erase_half(conn);
     // A closed half already has its failure notice pending; that notice
     // sees the suspension and re-queues itself for resume.

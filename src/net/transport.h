@@ -24,6 +24,7 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "net/node_id.h"
+#include "util/small_vec.h"
 
 namespace brisa::net {
 
@@ -146,24 +147,29 @@ class Transport final : public Network::DeathListener,
 
   /// One endpoint's record, owned by its host's lane. The FIFO clamp covers
   /// only the *outbound* direction — the inbound clamp lives in the peer's
-  /// half — so no field is ever written from two lanes.
+  /// half — so no field is ever written from two lanes. The record is also
+  /// its slab slot (open flag, generation, free-list link), packed into 32
+  /// bytes so a host's usual halves sit inline in its HostState.
   struct Half {
     NodeId peer;
+    State state = State::kSynSent;
+    bool initiated = false;
+    /// The slot holds a live half; otherwise it is on the free list.
+    bool open = false;
+    /// Bumped on erase, so ids naming an erased half fail the check in find.
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = kNil;
     /// The peer's half id; the acceptor learns it from the SYN, the
     /// initiator from the SYN-ACK.
     ConnectionId peer_half = kInvalidConnectionId;
-    State state = State::kSynSent;
-    bool initiated = false;
     /// Enforces FIFO delivery toward the peer despite latency jitter.
     sim::TimePoint last_tx_arrival = sim::TimePoint::origin();
   };
+  static_assert(sizeof(Half) == 32, "keep the inline slab dense");
 
-  struct HalfSlot {
-    Half half;
-    std::uint32_t gen = 1;
-    std::uint32_t next_free = kNil;
-    bool open = false;
-  };
+  /// Halves held inline per host: an active view plus a few dials and
+  /// closing halves. A host with more spills its slab to the heap.
+  static constexpr std::size_t kInlineHalves = 8;
 
   struct PendingNotice {
     ConnectionId conn;
@@ -173,11 +179,13 @@ class Transport final : public Network::DeathListener,
 
   /// Everything the transport keeps for one host; mutated only from that
   /// host's lane or from serial phases. Sized by on_host_added/bind, never
-  /// from lane events.
-  struct HostState {
-    std::vector<HalfSlot> slots;
-    std::uint32_t free_head = kNil;
+  /// from lane events. Line-aligned, and laid out so the handler, the free
+  /// list and the 16-byte slab header fill the first 32 bytes: the first
+  /// inline half completes that line and no half straddles one.
+  struct alignas(64) HostState {
     TransportHandler* handler = nullptr;
+    std::uint32_t free_head = kNil;
+    util::SmallVec<Half, kInlineHalves> slots;
     /// Connection failures a suspended host will learn about at resume.
     std::vector<PendingNotice> resume_notices;
   };
@@ -231,8 +239,10 @@ class Transport final : public Network::DeathListener,
   /// NIC (including retransmissions) and returns the arrival instant, or
   /// nullopt when the segment was blackholed (counted at the sender; the
   /// caller decides how the connection reacts). Shared by SYN, SYN-ACK,
-  /// FIN, and data sends. All draws come from the sender's streams.
-  std::optional<sim::TimePoint> transmit_segment(NodeId sender,
+  /// FIN, and data sends. All draws come from the sender's streams, and
+  /// `sender_host` is the sender's record, resolved once by the caller.
+  std::optional<sim::TimePoint> transmit_segment(Network::Host& sender_host,
+                                                 NodeId sender,
                                                  NodeId receiver,
                                                  std::size_t wire_bytes,
                                                  TrafficClass traffic_class);

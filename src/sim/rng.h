@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numbers>
 #include <vector>
@@ -79,28 +80,61 @@ class RngMixin {
     return std::exp(normal(mu, sigma));
   }
 
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
+  /// Fisher-Yates over any indexable container (std::vector, SmallVec).
+  template <typename Container>
+  void shuffle(Container& items) {
     for (std::size_t i = items.size(); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(uniform(i));
       std::swap(items[i - 1], items[j]);
     }
   }
 
-  /// Uniformly picks one element; container must be non-empty.
-  template <typename T>
-  const T& pick(const std::vector<T>& items) {
+  /// Uniformly picks one element of a random-access range (std::vector,
+  /// FlatSet); the range must be non-empty.
+  template <typename Range>
+  const auto& pick(const Range& items) {
     BRISA_ASSERT(!items.empty());
-    return items[static_cast<std::size_t>(uniform(items.size()))];
+    return *(items.begin() +
+             static_cast<std::ptrdiff_t>(uniform(items.size())));
+  }
+
+  /// pick() over the elements satisfying `keep`, without collecting them:
+  /// one draw over the matching count, so it draws exactly what filtering
+  /// into a vector and calling pick() did. nullptr (and no draw) when none
+  /// match.
+  template <typename Range, typename Pred>
+  const auto* pick_if(const Range& items, Pred keep) {
+    std::size_t matching = 0;
+    for (const auto& item : items) {
+      if (keep(item)) ++matching;
+    }
+    const decltype(&*items.begin()) none = nullptr;
+    if (matching == 0) return none;
+    auto target = uniform(matching);
+    for (const auto& item : items) {
+      if (keep(item) && target-- == 0) return &item;
+    }
+    return none;
   }
 
   /// Samples `count` distinct elements (or all of them if fewer exist).
   template <typename T>
   std::vector<T> sample(const std::vector<T>& items, std::size_t count) {
-    std::vector<T> pool = items;
-    shuffle(pool);
-    if (pool.size() > count) pool.resize(count);
+    std::vector<T> pool;
+    sample_into(items, count, pool);
     return pool;
+  }
+
+  /// sample() into caller-owned storage, which is overwritten, so a caller
+  /// passing an inline SmallVec samples without allocating. The whole pool
+  /// is shuffled before truncation: the draws depend only on its size.
+  template <typename Range, typename Out>
+  void sample_into(const Range& items, std::size_t count, Out& out) {
+    out.clear();
+    out.reserve(items.size());
+    for (const auto& item : items) out.push_back(item);
+    shuffle(out);
+    while (out.size() > count) out.pop_back();
   }
 
  private:

@@ -4,11 +4,13 @@
 // handful of entries keyed by small trivially-comparable ids (NodeId,
 // ConnectionId, sequence numbers). For that shape a red-black tree is three
 // pointer chases per lookup and a node allocation per insert; FlatMap/FlatSet
-// keep the entries sorted in one contiguous (usually inline, see SmallVec)
-// buffer: lookups are a binary search over one or two cache lines, inserts
+// keep the entries sorted in contiguous (usually inline, see SmallVec)
+// buffers: lookups are a binary search over one or two cache lines, inserts
 // shift a few elements, and iteration is a linear walk in ascending key
 // order — the same deterministic order std::map/std::set produced, which the
-// repo's byte-identical-replay contract depends on.
+// repo's byte-identical-replay contract depends on. FlatMap keeps keys and
+// values in two index-aligned arrays, so a lookup's binary search reads only
+// the dense key array and touches the matched value alone.
 //
 // The interface is the std::map/std::set subset the protocol code uses.
 // Like std::map, the key is immutable through iterators (FlatMap dereferences
@@ -39,7 +41,7 @@ class FlatMap {
   template <bool Const>
   class Iterator {
    public:
-    using Ptr = std::conditional_t<Const, const value_type*, value_type*>;
+    using VPtr = std::conditional_t<Const, const V*, V*>;
     using VRef = std::conditional_t<Const, const V&, V&>;
     using iterator_category = std::bidirectional_iterator_tag;
     using difference_type = std::ptrdiff_t;
@@ -47,16 +49,14 @@ class FlatMap {
     using pointer = void;
 
     Iterator() = default;
-    explicit Iterator(Ptr item) : item_(item) {}
+    Iterator(const K* key, VPtr value) : key_(key), value_(value) {}
 
     /// Conversion iterator -> const_iterator.
     operator Iterator<true>() const {  // NOLINT(google-explicit-constructor)
-      return Iterator<true>(item_);
+      return Iterator<true>(key_, value_);
     }
 
-    [[nodiscard]] reference operator*() const {
-      return {item_->first, item_->second};
-    }
+    [[nodiscard]] reference operator*() const { return {*key_, *value_}; }
 
     /// `it->first` / `it->second` support: the pair of references lives in
     /// the proxy, keyed const so call sites cannot corrupt the sort order.
@@ -67,66 +67,59 @@ class FlatMap {
     [[nodiscard]] ArrowProxy operator->() const { return ArrowProxy{**this}; }
 
     Iterator& operator++() {
-      ++item_;
+      ++key_;
+      ++value_;
       return *this;
     }
     Iterator operator++(int) {
       Iterator copy = *this;
-      ++item_;
+      ++*this;
       return copy;
     }
     Iterator& operator--() {
-      --item_;
+      --key_;
+      --value_;
       return *this;
     }
     Iterator operator--(int) {
       Iterator copy = *this;
-      --item_;
+      --*this;
       return copy;
     }
 
     friend bool operator==(const Iterator& a, const Iterator& b) {
-      return a.item_ == b.item_;
+      return a.key_ == b.key_;
     }
 
    private:
     friend class FlatMap;
-    Ptr item_ = nullptr;
+    const K* key_ = nullptr;
+    VPtr value_ = nullptr;
   };
 
   using iterator = Iterator<false>;
   using const_iterator = Iterator<true>;
 
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  [[nodiscard]] bool empty() const { return keys_.empty(); }
 
-  [[nodiscard]] iterator begin() { return iterator(items_.begin()); }
-  [[nodiscard]] iterator end() { return iterator(items_.end()); }
-  [[nodiscard]] const_iterator begin() const {
-    return const_iterator(items_.begin());
-  }
-  [[nodiscard]] const_iterator end() const {
-    return const_iterator(items_.end());
-  }
+  [[nodiscard]] iterator begin() { return at(0); }
+  [[nodiscard]] iterator end() { return at(keys_.size()); }
+  [[nodiscard]] const_iterator begin() const { return at(0); }
+  [[nodiscard]] const_iterator end() const { return at(keys_.size()); }
 
   [[nodiscard]] iterator find(const K& key) {
     const std::size_t pos = lower_bound_index(key);
-    if (pos < items_.size() && items_[pos].first == key) {
-      return iterator(items_.begin() + pos);
-    }
-    return end();
+    return pos < keys_.size() && keys_[pos] == key ? at(pos) : end();
   }
   [[nodiscard]] const_iterator find(const K& key) const {
     const std::size_t pos = lower_bound_index(key);
-    if (pos < items_.size() && items_[pos].first == key) {
-      return const_iterator(items_.begin() + pos);
-    }
-    return end();
+    return pos < keys_.size() && keys_[pos] == key ? at(pos) : end();
   }
 
   [[nodiscard]] bool contains(const K& key) const {
     const std::size_t pos = lower_bound_index(key);
-    return pos < items_.size() && items_[pos].first == key;
+    return pos < keys_.size() && keys_[pos] == key;
   }
   [[nodiscard]] std::size_t count(const K& key) const {
     return contains(key) ? 1 : 0;
@@ -139,49 +132,70 @@ class FlatMap {
   template <typename... Args>
   std::pair<iterator, bool> try_emplace(const K& key, Args&&... args) {
     const std::size_t pos = lower_bound_index(key);
-    if (pos < items_.size() && items_[pos].first == key) {
-      return {iterator(items_.begin() + pos), false};
-    }
-    items_.insert(items_.begin() + pos,
-                  value_type(key, V(std::forward<Args>(args)...)));
-    return {iterator(items_.begin() + pos), true};
+    if (pos < keys_.size() && keys_[pos] == key) return {at(pos), false};
+    insert_at(pos, key, V(std::forward<Args>(args)...));
+    return {at(pos), true};
   }
 
   /// std::map-compatible emplace for the (key, value) form the call sites
   /// use; the existing entry wins, exactly like std::map::emplace.
   std::pair<iterator, bool> emplace(const K& key, V value) {
     const std::size_t pos = lower_bound_index(key);
-    if (pos < items_.size() && items_[pos].first == key) {
-      return {iterator(items_.begin() + pos), false};
-    }
-    items_.insert(items_.begin() + pos, value_type(key, std::move(value)));
-    return {iterator(items_.begin() + pos), true};
+    if (pos < keys_.size() && keys_[pos] == key) return {at(pos), false};
+    insert_at(pos, key, std::move(value));
+    return {at(pos), true};
   }
 
   std::size_t erase(const K& key) {
     const std::size_t pos = lower_bound_index(key);
-    if (pos < items_.size() && items_[pos].first == key) {
-      items_.erase(items_.begin() + pos);
+    if (pos < keys_.size() && keys_[pos] == key) {
+      erase_at(pos);
       return 1;
     }
     return 0;
   }
 
   iterator erase(const_iterator pos) {
-    return iterator(items_.erase(pos.item_));
+    const auto index = static_cast<std::size_t>(pos.key_ - keys_.data());
+    erase_at(index);
+    return at(index);
   }
 
-  void clear() { items_.clear(); }
+  void clear() {
+    keys_.clear();
+    values_.clear();
+  }
 
-  bool operator==(const FlatMap& other) const { return items_ == other.items_; }
+  bool operator==(const FlatMap& other) const {
+    return keys_ == other.keys_ && values_ == other.values_;
+  }
 
  private:
+  [[nodiscard]] iterator at(std::size_t index) {
+    return iterator(keys_.data() + index, values_.data() + index);
+  }
+  [[nodiscard]] const_iterator at(std::size_t index) const {
+    return const_iterator(keys_.data() + index, values_.data() + index);
+  }
+
+  void insert_at(std::size_t pos, const K& key, V value) {
+    keys_.insert(keys_.begin() + pos, key);
+    values_.insert(values_.begin() + pos, std::move(value));
+  }
+
+  void erase_at(std::size_t pos) {
+    keys_.erase(keys_.begin() + pos);
+    values_.erase(values_.begin() + pos);
+  }
+
+  /// Touches only the key array: a lookup never pulls the (often much
+  /// larger) values into the cache.
   [[nodiscard]] std::size_t lower_bound_index(const K& key) const {
     std::size_t lo = 0;
-    std::size_t hi = items_.size();
+    std::size_t hi = keys_.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (items_[mid].first < key) {
+      if (keys_[mid] < key) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -190,7 +204,9 @@ class FlatMap {
     return lo;
   }
 
-  SmallVec<value_type, N> items_;
+  /// Parallel arrays, index-aligned: keys_[i] owns values_[i].
+  SmallVec<K, N> keys_;
+  SmallVec<V, N> values_;
 };
 
 template <typename K, std::size_t N = 8>

@@ -240,9 +240,11 @@ class SeqSet {
   }
 
  private:
-  std::vector<bool> present_;
-  std::size_t size_ = 0;
+  // max_ first: owners that read the maximum on a hot path (BRISA's
+  // keep-alive watermark) can co-locate it with their own fields.
   std::uint64_t max_ = 0;
+  std::size_t size_ = 0;
+  std::vector<bool> present_;
 };
 
 }  // namespace brisa::util

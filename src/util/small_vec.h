@@ -8,6 +8,11 @@
 // only pathological nodes (oversized views during bootstrap) spill to the
 // heap. Iteration order is insertion order: fully deterministic.
 //
+// The 16-byte header (data pointer, 32-bit size and capacity) precedes the
+// inline buffer, so it shares a cache line with whatever the owner declared
+// just before it: FlatMap's value pointer sits next to its keys, and the
+// transport's slab header next to the host's handler.
+//
 // The interface is the std::vector subset the protocol containers need
 // (push/emplace_back, insert/erase at a position, clear/reserve, element
 // access, iteration); no allocator or exception-guarantee exotica.
@@ -53,7 +58,7 @@ class SmallVec {
       destroy_all();
       release_heap();
       data_ = inline_data();
-      capacity_ = N;
+      capacity_ = static_cast<std::uint32_t>(N);
       size_ = 0;
       steal(other);
     }
@@ -174,8 +179,9 @@ class SmallVec {
   }
 
   void grow_to(std::size_t wanted) {
-    std::size_t next = capacity_ * 2;
+    std::size_t next = std::size_t{capacity_} * 2;
     if (next < wanted) next = wanted;
+    BRISA_ASSERT_MSG(next <= UINT32_MAX, "SmallVec capacity overflow");
     T* fresh = static_cast<T*>(
         ::operator new(next * sizeof(T), std::align_val_t(alignof(T))));
     for (std::size_t i = 0; i < size_; ++i) {
@@ -184,13 +190,13 @@ class SmallVec {
     }
     release_heap();
     data_ = fresh;
-    capacity_ = next;
+    capacity_ = static_cast<std::uint32_t>(next);
   }
 
   void append_range(const T* src, std::size_t count) {
     reserve(count);
     for (std::size_t i = 0; i < count; ++i) new (data_ + i) T(src[i]);
-    size_ = count;
+    size_ = static_cast<std::uint32_t>(count);
   }
 
   /// Move-from for construction/assignment: steals the heap block when the
@@ -208,15 +214,15 @@ class SmallVec {
       capacity_ = other.capacity_;
       size_ = other.size_;
       other.data_ = other.inline_data();
-      other.capacity_ = N;
+      other.capacity_ = static_cast<std::uint32_t>(N);
       other.size_ = 0;
     }
   }
 
-  alignas(T) std::byte inline_storage_[N * sizeof(T)];
   T* data_ = inline_data();
-  std::size_t size_ = 0;
-  std::size_t capacity_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = static_cast<std::uint32_t>(N);
+  alignas(T) std::byte inline_storage_[N * sizeof(T)];
 };
 
 }  // namespace brisa::util

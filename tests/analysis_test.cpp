@@ -1,11 +1,15 @@
 // Analysis toolkit tests: CDF/percentile math, table rendering, DOT export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "analysis/dot_export.h"
 #include "analysis/stats.h"
 #include "analysis/table.h"
+#include "sim/rng.h"
 
 namespace brisa::analysis {
 namespace {
@@ -31,6 +35,60 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileEdgeCases) {
   EXPECT_TRUE(std::isnan(percentile({}, 50)));
   EXPECT_DOUBLE_EQ(percentile({42.0}, 99), 42.0);
+}
+
+/// The full-sort definition percentile() had before it switched to
+/// selection; the randomized test below pins the two to the same bits.
+double sorted_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) return samples.front();
+  const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - std::floor(rank);
+  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Stats, PercentileMatchesSortReferenceBitForBit) {
+  sim::Rng rng(0x9e7c);
+  const std::vector<double> fixed_percents{0, 0.1, 1, 5, 12.5, 25, 33.3, 50,
+                                           66.7, 75, 90, 99, 99.9, 100};
+  for (int round = 0; round < 400; ++round) {
+    // n = 1 and 2 come first, then random sizes up to 300.
+    const std::size_t n =
+        round < 2 ? static_cast<std::size_t>(round + 1)
+                  : static_cast<std::size_t>(1 + rng.uniform(300));
+    // Every third round draws from a handful of values, so duplicates
+    // straddle the interpolated order statistics.
+    const bool few_values = round % 3 == 0;
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back(few_values
+                            ? static_cast<double>(rng.uniform(4)) * 1.5
+                            : rng.uniform_double() * 1000.0 - 250.0);
+    }
+    std::vector<double> percents = fixed_percents;
+    percents.push_back(rng.uniform_double() * 100.0);
+    for (const double p : percents) {
+      const double got = percentile(samples, p);
+      const double want = sorted_percentile(samples, p);
+      EXPECT_TRUE(same_bits(got, want))
+          << "n=" << n << " p=" << p << " got " << got << " want " << want;
+    }
+    // The sorted paths (one sort shared across levels) agree too.
+    const PercentileSummary s = summarize(samples);
+    EXPECT_TRUE(same_bits(s.p5, sorted_percentile(samples, 5)));
+    EXPECT_TRUE(same_bits(s.p90, sorted_percentile(samples, 90)));
+    const auto cdf = cdf_at_percents(samples, percents);
+    for (std::size_t i = 0; i < percents.size(); ++i) {
+      EXPECT_TRUE(
+          same_bits(cdf[i].value, sorted_percentile(samples, percents[i])));
+    }
+  }
 }
 
 TEST(Stats, SummaryOrdering) {

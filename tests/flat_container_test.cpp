@@ -208,6 +208,90 @@ TEST(FlatMap, LargeNStress) {
   expect_same_map(flat, ref);
 }
 
+/// Link-sized value (about 80 bytes, like the per-neighbor protocol links):
+/// keys and values live in separate arrays, so every operation below also
+/// checks that the two stay index-aligned through shifts, spills and moves.
+struct WideValue {
+  Tracked tracked;
+  std::uint64_t pad[8] = {};
+  WideValue() = default;
+  explicit WideValue(int v) : tracked(v) {
+    pad[7] = static_cast<std::uint64_t>(v);
+  }
+  bool operator==(const WideValue& other) const {
+    return tracked == other.tracked && pad[7] == other.pad[7];
+  }
+};
+
+TEST(FlatMap, KeySeparatedLayoutDifferential) {
+  sim::Rng rng(0x5e9a);
+  for (int round = 0; round < 20; ++round) {
+    {
+      util::FlatMap<std::uint32_t, WideValue, 2> flat;
+      std::map<std::uint32_t, WideValue> ref;
+      for (int op = 0; op < 600; ++op) {
+        const auto key = static_cast<std::uint32_t>(rng.uniform(24));
+        const std::uint64_t dice = rng.uniform(100);
+        if (dice < 30) {
+          const int v = static_cast<int>(rng.uniform(1000));
+          flat[key] = WideValue(v);
+          ref[key] = WideValue(v);
+        } else if (dice < 45) {
+          const int v = static_cast<int>(rng.uniform(1000));
+          const auto [it, inserted] = flat.emplace(key, WideValue(v));
+          const auto [rit, rinserted] = ref.emplace(key, WideValue(v));
+          EXPECT_EQ(inserted, rinserted);
+          EXPECT_EQ(it->second, rit->second);
+        } else if (dice < 60) {
+          // Erase through the iterator form: the returned iterator must name
+          // the next key with its own value, like std::map::erase.
+          const auto it = flat.find(key);
+          const auto rit = ref.find(key);
+          ASSERT_EQ(it != flat.end(), rit != ref.end());
+          if (it != flat.end()) {
+            const auto next = flat.erase(it);
+            const auto rnext = ref.erase(rit);
+            ASSERT_EQ(next != flat.end(), rnext != ref.end());
+            if (next != flat.end()) {
+              EXPECT_EQ(next->first, rnext->first);
+              EXPECT_EQ(next->second, rnext->second);
+            }
+          }
+        } else if (dice < 75) {
+          // Mutation through an iterator reaches the value paired with the
+          // key that was found.
+          const auto it = flat.find(key);
+          if (it != flat.end()) {
+            it->second.tracked.value += 1;
+            ref[key].tracked.value += 1;
+          }
+        } else if (dice < 85) {
+          EXPECT_EQ(flat.erase(key), ref.erase(key));
+        } else if (dice < 95) {
+          // Copies and moves carry both arrays, inline or spilled.
+          util::FlatMap<std::uint32_t, WideValue, 2> copy = flat;
+          EXPECT_TRUE(copy == flat);
+          util::FlatMap<std::uint32_t, WideValue, 2> moved = std::move(copy);
+          EXPECT_TRUE(moved == flat);
+          flat = std::move(moved);
+        } else {
+          // Reverse iteration walks the same aligned pairs backwards.
+          auto rit = ref.rbegin();
+          for (auto it = flat.end(); it != flat.begin();) {
+            --it;
+            ASSERT_NE(rit, ref.rend());
+            EXPECT_EQ(it->first, rit->first);
+            EXPECT_EQ(it->second, rit->second);
+            ++rit;
+          }
+        }
+        expect_same_map(flat, ref);
+      }
+    }
+    EXPECT_EQ(Tracked::live, 0) << "leaked or double-destroyed values";
+  }
+}
+
 // --- FlatSet vs std::set -----------------------------------------------------
 
 TEST(FlatSet, DifferentialAgainstStdSet) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/brisa.h"
@@ -133,6 +134,149 @@ TEST(MultiStream, EngineDropsMessagesForInactiveStreams) {
   EXPECT_EQ(engine_b.stream(0).stats().duplicates, 0u);
   EXPECT_EQ(engine_a.stream_ids(), (std::vector<StreamId>{0, 1}));
   EXPECT_EQ(engine_b.stream_ids(), (std::vector<StreamId>{0}));
+}
+
+// --- Keep-alive watermark snapshots ------------------------------------------
+
+/// Records every watermark a plain HyParView node hears, with its arrival
+/// instant.
+class WatermarkRecorder final : public membership::PssListener {
+ public:
+  explicit WatermarkRecorder(sim::Simulator& simulator)
+      : simulator_(simulator) {}
+  void on_neighbor_up(NodeId) override {}
+  void on_neighbor_down(NodeId, membership::NeighborLossReason) override {}
+  void on_app_message(NodeId, net::MessagePtr) override {}
+  void on_neighbor_watermark(NodeId, StreamId, std::uint64_t watermark,
+                             std::uint64_t) override {
+    heard.emplace_back(simulator_.now(), watermark);
+  }
+  std::vector<std::pair<sim::TimePoint, std::uint64_t>> heard;
+
+ private:
+  sim::Simulator& simulator_;
+};
+
+/// Stands between a HyParView node and its engine. When armed, the next
+/// snapshot request (a keep-alive or a reply about to be sent) advances the
+/// engine's stream right after the snapshot was taken, so that probe travels
+/// with a watermark its sender has already moved past.
+class AdvancingListener final : public membership::PssListener {
+ public:
+  AdvancingListener(core::BrisaEngine& engine, sim::Simulator& simulator)
+      : engine_(engine), simulator_(simulator) {}
+  void on_neighbor_up(NodeId peer) override { engine_.on_neighbor_up(peer); }
+  void on_neighbor_down(NodeId peer,
+                        membership::NeighborLossReason reason) override {
+    engine_.on_neighbor_down(peer, reason);
+  }
+  void on_app_message(NodeId from, net::MessagePtr message) override {
+    engine_.on_app_message(from, std::move(message));
+  }
+  void on_neighbor_watermark(NodeId peer, StreamId stream,
+                             std::uint64_t watermark,
+                             std::uint64_t aux) override {
+    engine_.on_neighbor_watermark(peer, stream, watermark, aux);
+  }
+  membership::WatermarkSnapshot watermark_snapshot() override {
+    membership::WatermarkSnapshot snapshot = engine_.watermark_snapshot();
+    if (armed) {
+      armed = false;
+      advanced_at = simulator_.now();
+      engine_.stream(0).broadcast(64);
+    }
+    return snapshot;
+  }
+  bool armed = false;
+  sim::TimePoint advanced_at;
+
+ private:
+  core::BrisaEngine& engine_;
+  sim::Simulator& simulator_;
+};
+
+TEST(WatermarkSnapshot, InFlightKeepAliveDeliversTheWatermarkItWasSentWith) {
+  workload::SystemBase base(7, workload::TestbedKind::kCluster);
+  const NodeId a = base.network().add_host();
+  const NodeId b = base.network().add_host();
+  membership::HyParView pss_a(base.network(), base.transport(), a, {});
+  membership::HyParView pss_b(base.network(), base.transport(), b, {});
+  core::BrisaEngine engine_a(base.network(), pss_a, a);
+  engine_a.add_stream(0, {});
+  engine_a.stream(0).become_source();
+  AdvancingListener interposer(engine_a, base.simulator());
+  pss_a.set_listener(&interposer);
+  WatermarkRecorder recorder(base.simulator());
+  pss_b.set_listener(&recorder);
+
+  pss_a.start();
+  pss_b.join(a);
+  base.run_for(sim::Duration::seconds(5));
+  ASSERT_FALSE(recorder.heard.empty());
+  for (const auto& [at, watermark] : recorder.heard) EXPECT_EQ(watermark, 0u);
+
+  const membership::WatermarkSnapshot before = engine_a.watermark_snapshot();
+  interposer.armed = true;
+  base.run_for(sim::Duration::seconds(3));
+  ASSERT_FALSE(interposer.armed);
+
+  // The probe that took `before` left after the stream had moved to
+  // watermark 1, and still arrived carrying 0.
+  bool stale_probe_arrived = false;
+  for (const auto& [at, watermark] : recorder.heard) {
+    if (at > interposer.advanced_at && watermark == 0) {
+      stale_probe_arrived = true;
+    }
+  }
+  EXPECT_TRUE(stale_probe_arrived);
+  EXPECT_EQ(recorder.heard.back().second, 1u);
+  // The in-flight snapshot was never written: the engine built a new one.
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->size(), 1u);
+  EXPECT_EQ((*before)[0].watermark, 0u);
+  const membership::WatermarkSnapshot after = engine_a.watermark_snapshot();
+  ASSERT_NE(after, nullptr);
+  ASSERT_EQ(after->size(), 1u);
+  EXPECT_EQ((*after)[0].watermark, 1u);
+  EXPECT_NE(after, before);
+}
+
+TEST(WatermarkSnapshot, UnchangedWatermarksRebuildNoSnapshot) {
+  workload::SystemBase base(9, workload::TestbedKind::kCluster);
+  const NodeId a = base.network().add_host();
+  const NodeId b = base.network().add_host();
+  membership::HyParView pss_a(base.network(), base.transport(), a, {});
+  membership::HyParView pss_b(base.network(), base.transport(), b, {});
+  core::BrisaEngine engine_a(base.network(), pss_a, a);
+  core::BrisaEngine engine_b(base.network(), pss_b, b);
+  engine_a.add_stream(0, {});
+  engine_b.add_stream(0, {});
+  engine_a.stream(0).become_source();
+
+  pss_a.start();
+  pss_b.join(a);
+  base.run_for(sim::Duration::seconds(5));
+  ASSERT_NE(pss_a.rtt_estimate(b), sim::Duration::max());  // probes flow
+  const std::uint64_t rebuilds_a = engine_a.watermark_snapshot_rebuilds();
+  const std::uint64_t rebuilds_b = engine_b.watermark_snapshot_rebuilds();
+  EXPECT_GE(rebuilds_a, 1u);
+
+  // Five keep-alive ticks and their replies on both sides, nothing new to
+  // report: every probe shares the cached snapshot.
+  const membership::WatermarkSnapshot cached = engine_a.watermark_snapshot();
+  base.run_for(sim::Duration::seconds(5));
+  EXPECT_EQ(engine_a.watermark_snapshot_rebuilds(), rebuilds_a);
+  EXPECT_EQ(engine_b.watermark_snapshot_rebuilds(), rebuilds_b);
+  EXPECT_EQ(engine_a.watermark_snapshot(), cached);
+
+  // One delivery moves each side's entry once: one rebuild at the source,
+  // at most two at the receiver (its watermark and its path delay).
+  engine_a.stream(0).broadcast(64);
+  base.run_for(sim::Duration::seconds(3));
+  EXPECT_EQ(engine_b.stream(0).stats().delivered, 1u);
+  EXPECT_EQ(engine_a.watermark_snapshot_rebuilds(), rebuilds_a + 1);
+  EXPECT_GE(engine_b.watermark_snapshot_rebuilds(), rebuilds_b + 1);
+  EXPECT_LE(engine_b.watermark_snapshot_rebuilds(), rebuilds_b + 2);
 }
 
 // --- Partial subscription -----------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "net/latency.h"
@@ -370,6 +371,78 @@ TEST_F(TransportFixture, DeadHostCannotSend) {
   network.kill(a);
   EXPECT_FALSE(transport.send(conn, a, make_message<TestPayload>(10),
                               TrafficClass::kData));
+}
+
+TEST_F(TransportFixture, SlabSpillsPastInlineHalvesAndKeepsGenerations) {
+  // Far more halves at `a` than its inline slab holds (8), so the slab
+  // spills to the heap; every half must stay addressable and generation-
+  // checked across the spill.
+  constexpr std::size_t kPeers = 20;
+  std::vector<NodeId> peers;
+  std::vector<std::unique_ptr<RecordingHandler>> handlers;
+  std::vector<ConnectionId> conns;
+  for (std::size_t i = 0; i < kPeers + 2; ++i) {
+    peers.push_back(network.add_host());
+    handlers.push_back(std::make_unique<RecordingHandler>());
+    transport.bind(peers.back(), handlers.back().get());
+  }
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    conns.push_back(transport.connect(a, peers[i]));
+  }
+  simulator.run();
+  EXPECT_EQ(transport.open_connections(), 2 * kPeers);
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    ASSERT_TRUE(transport.established(conns[i])) << i;
+    EXPECT_EQ(transport.peer_of(conns[i], a), peers[i]);
+    EXPECT_TRUE(transport.send(
+        conns[i], a, make_message<TestPayload>(8, static_cast<int>(i)),
+        TrafficClass::kData));
+  }
+  simulator.run();
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    EXPECT_EQ(handlers[i]->count(RecordingHandler::Event::kMessage), 1u) << i;
+  }
+
+  // Free one inline slot and one spilled slot, then reuse both: the free
+  // list hands them out again under bumped generations.
+  const ConnectionId stale_inline = conns[3];
+  const ConnectionId stale_spilled = conns[15];
+  transport.close(stale_inline, a);
+  simulator.run();
+  transport.close(stale_spilled, a);
+  simulator.run();
+  const ConnectionId reused_first = transport.connect(a, peers[kPeers]);
+  const ConnectionId reused_second = transport.connect(a, peers[kPeers + 1]);
+  simulator.run();
+  EXPECT_EQ(transport.open_connections(), 2 * kPeers);
+  ASSERT_TRUE(transport.established(reused_first));
+  ASSERT_TRUE(transport.established(reused_second));
+  // Same slots (a ConnectionId keeps slot + 1 in its low 20 bits; the free
+  // list is last-in first-out), different generations: the stale ids
+  // resolve to no connection.
+  EXPECT_NE(reused_first, stale_spilled);
+  EXPECT_NE(reused_second, stale_inline);
+  EXPECT_EQ(reused_first & 0xfffff, stale_spilled & 0xfffff);
+  EXPECT_EQ(reused_second & 0xfffff, stale_inline & 0xfffff);
+  EXPECT_FALSE(transport.established(stale_inline));
+  EXPECT_FALSE(transport.established(stale_spilled));
+  EXPECT_FALSE(transport.send(stale_inline, a, make_message<TestPayload>(8),
+                              TrafficClass::kData));
+  EXPECT_FALSE(transport.send(stale_spilled, a, make_message<TestPayload>(8),
+                              TrafficClass::kData));
+  EXPECT_TRUE(transport.send(reused_first, a, make_message<TestPayload>(8),
+                             TrafficClass::kData));
+  EXPECT_TRUE(transport.send(reused_second, a, make_message<TestPayload>(8),
+                             TrafficClass::kData));
+  simulator.run();
+  EXPECT_EQ(handlers[kPeers]->count(RecordingHandler::Event::kMessage), 1u);
+  EXPECT_EQ(handlers[kPeers + 1]->count(RecordingHandler::Event::kMessage),
+            1u);
+  // The closed peers saw their close and nothing after it.
+  EXPECT_EQ(handlers[3]->count(RecordingHandler::Event::kMessage), 1u);
+  EXPECT_EQ(handlers[15]->count(RecordingHandler::Event::kMessage), 1u);
+  EXPECT_EQ(handlers[3]->events.back().kind, RecordingHandler::Event::kDown);
+  EXPECT_EQ(handlers[15]->events.back().kind, RecordingHandler::Event::kDown);
 }
 
 TEST_F(TransportFixture, CloseReasonStrings) {
