@@ -8,7 +8,7 @@
 #
 # Examples:
 #   scripts/profile_hotpath.sh                         # BM_SimEventRate
-#   scripts/profile_hotpath.sh 'SimEventRate/heap/100000'
+#   scripts/profile_hotpath.sh 'SimEventRate/100000'
 #   scripts/profile_hotpath.sh 'EventQueueTimerChurn' -- --benchmark_min_time=1
 #   scripts/profile_hotpath.sh --cell                  # 10k faulted BRISA cell
 #

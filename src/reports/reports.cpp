@@ -282,7 +282,6 @@ std::string scenario_key_error(const workload::Scenario& scenario,
   // Executor knobs, honored by every harness; results are byte-identical for
   // any value, so no figure can be distorted by them.
   reachable.push_back("run.shards");
-  reachable.push_back("run.queue");
 
   for (const auto& [key, value] : scenario.set_keys()) {
     // [sweep] keys are consumed upstream by the sweep executor, never by

@@ -141,6 +141,12 @@ TEST(Scenario, DiagnosticsCarryLineNumbers) {
   EXPECT_NE(diagnostic_of("[streams]\nsubscription-fraction = 1.5\n")
                 .find("fraction in [0, 1]"),
             std::string::npos);
+  const std::string queue_knob = diagnostic_of("[run]\nqueue = heap\n");
+  EXPECT_NE(queue_knob.find("scenario line 2"), std::string::npos)
+      << queue_knob;
+  EXPECT_NE(queue_knob.find("unknown key 'queue' in section [run]"),
+            std::string::npos)
+      << queue_knob;
 }
 
 TEST(Scenario, SemanticValidation) {
