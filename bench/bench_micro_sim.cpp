@@ -238,81 +238,6 @@ BENCHMARK(BM_SimEventRate)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
-/// The same workload through the sharded executor (arg = shard count) with
-/// host-lane periodics and per-host counter RNG streams — the shape every
-/// system harness uses under `[run] shards`. Results are byte-identical to
-/// any other shard count by construction; this measures what the
-/// window/mailbox machinery costs (or wins) in wall-clock and cpu-seconds.
-void BM_SimEventRateSharded(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  const std::size_t n = 10'000;
-  sim::Simulator simulator(1);
-  auto latency = std::make_unique<net::ClusterLatencyModel>();
-  // Mirror SystemBase::prepare: lookahead, then sharding.
-  simulator.set_lookahead(latency->min_flight());
-  if (shards > 1) simulator.configure_sharding(shards);
-  net::Network network(simulator, std::move(latency),
-                       net::Network::cluster_config());
-  class Sink : public net::Network::DatagramHandler {
-   public:
-    void on_datagram(net::NodeId, net::MessagePtr) override { ++received; }
-    std::uint64_t received = 0;
-  };
-  Sink sink;
-  std::vector<net::NodeId> hosts;
-  hosts.reserve(n);
-  // Host-lane events must not draw from the root RNG (it races under
-  // sharding); each host gets its own counter stream, drawn only by its
-  // own lane.
-  std::vector<sim::CounterRng> host_rng;
-  host_rng.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId id = network.add_host();
-    network.bind_datagram_handler(id, &sink);
-    hosts.push_back(id);
-    host_rng.push_back(sim::CounterRng::keyed(99, i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto host = static_cast<std::uint32_t>(i);
-    simulator.after(
-        sim::Duration::microseconds(static_cast<std::int64_t>(i % 100'000)),
-        [&simulator, &network, &hosts, &host_rng, host]() {
-          simulator.every_host(
-              host, sim::Duration::milliseconds(100),
-              [&network, &hosts, &host_rng, host]() {
-                const std::size_t peer = static_cast<std::size_t>(
-                    host_rng[host].next_u64() % hosts.size());
-                network.send_datagram(
-                    hosts[host], hosts[peer],
-                    net::make_message<membership::HpvKeepAlive>(1, nullptr),
-                    net::TrafficClass::kMembership);
-              });
-        });
-  }
-  simulator.run_until(simulator.now() + sim::Duration::milliseconds(200));
-  const std::uint64_t fired_before = simulator.events_fired();
-  for (auto _ : state) {
-    simulator.run_until(simulator.now() + sim::Duration::milliseconds(10));
-  }
-  benchmark::DoNotOptimize(sink.received);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(simulator.events_fired() - fired_before));
-  const sim::Simulator::Stats stats = simulator.stats();
-  state.counters["windows"] = static_cast<double>(stats.windows);
-  state.counters["serial_events"] = static_cast<double>(stats.serial_events);
-  double mailbox_in = 0;
-  for (const auto& shard : stats.shards) {
-    mailbox_in += static_cast<double>(shard.mailbox_in);
-  }
-  state.counters["mailbox_in"] = mailbox_in;
-}
-BENCHMARK(BM_SimEventRateSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime();
-
 /// Message arena throughput: steady-state make/release must be a pointer
 /// pop + placement-new, not an allocator round trip.
 void BM_MessagePoolMakeRelease(benchmark::State& state) {

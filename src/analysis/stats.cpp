@@ -138,24 +138,6 @@ std::vector<CounterRow> sim_counter_rows(
   };
 }
 
-std::vector<CounterRow> shard_counter_rows(const sim::Simulator& simulator) {
-  const sim::Simulator::Stats stats = simulator.stats();
-  std::vector<CounterRow> rows;
-  if (stats.shards.empty()) return rows;
-  rows.push_back({"windows", stats.windows});
-  rows.push_back({"serial_events", stats.serial_events});
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const sim::Simulator::Stats::Shard& shard = stats.shards[i];
-    const std::string prefix = "shard" + std::to_string(i) + "_";
-    rows.push_back({prefix + "events", shard.events});
-    rows.push_back({prefix + "windows", shard.windows});
-    rows.push_back({prefix + "mailbox_in", shard.mailbox_in});
-    rows.push_back({prefix + "steals", shard.steals});
-    rows.push_back({prefix + "barrier_wait_us", shard.barrier_wait_us});
-  }
-  return rows;
-}
-
 std::vector<CounterRow> fault_counter_rows(const net::Network& network) {
   const net::Network::FaultTotals& totals = network.fault_totals();
   std::array<std::uint64_t, net::kTrafficClassCount> dropped{};

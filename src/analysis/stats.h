@@ -74,15 +74,6 @@ struct CounterRow {
     const sim::Simulator& simulator,
     const net::MessagePoolStats& pool_baseline = net::MessagePoolStats{});
 
-/// Per-shard execution counters of a sharded run (sim/simulator.h): one
-/// events/windows/mailbox_in/steals/barrier_wait_us row group per shard,
-/// plus the global-lane serial_events and the window count. Empty when the
-/// run was not sharded. Steals and barrier waits depend on worker
-/// scheduling and wall clock — print these to stderr (diagnostics), never
-/// into golden-compared stdout.
-[[nodiscard]] std::vector<CounterRow> shard_counter_rows(
-    const sim::Simulator& simulator);
-
 /// Renders counters as aligned "label value" rows under `# <title>`.
 [[nodiscard]] std::string format_counters(const std::string& title,
                                           const std::vector<CounterRow>& rows);

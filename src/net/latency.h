@@ -21,8 +21,8 @@ class LatencyModel {
   virtual ~LatencyModel() = default;
 
   /// One-way latency for a message from `from` to `to`, including jitter.
-  /// Draws jitter from the caller's stream — under sharded execution this is
-  /// the *sending host's* CounterRng, so draws are lane-local.
+  /// Draws jitter from the caller's stream — the *sending host's*
+  /// CounterRng, so one host's draws never shift another's.
   [[nodiscard]] virtual sim::Duration sample(NodeId from, NodeId to,
                                              sim::CounterRng& rng) = 0;
 
@@ -31,10 +31,9 @@ class LatencyModel {
   [[nodiscard]] virtual sim::Duration base(NodeId from, NodeId to) const = 0;
 
   /// A guaranteed lower bound on sample(from, to, ...) over all *distinct*
-  /// host pairs: the conservative lookahead of the sharded event loop
-  /// (Network clamps cross-host flight times up to it, and the window
-  /// length derives from it). Self-delivery may be faster — it never
-  /// crosses a shard.
+  /// host pairs: the testbed sets it as the simulator lookahead, and
+  /// Network clamps cross-host flight times up to that. Self-delivery may be
+  /// faster.
   [[nodiscard]] virtual sim::Duration min_flight() const = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;

@@ -11,16 +11,8 @@
 // performs no heap allocation: a delivery holds a reference, fan-out shares
 // one object across receivers, and the storage returns to the pool when the
 // last reference drops.
-//
-// The count is *conditionally* atomic: single-threaded runs (shards == 1,
-// sweeps, tests) pay plain relaxed load/store — identical codegen to a plain
-// integer — while sharded execution flips a sticky process-wide flag
-// (Message::enable_concurrent_refs) that upgrades every retain/release to a
-// real RMW, because one fan-out message is then referenced from several
-// shard threads at once.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -117,14 +109,6 @@ class Message {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Sticky: once any simulator in the process runs multi-shard, every
-  /// refcount op becomes a real atomic RMW. Called from serial setup code
-  /// (before worker threads touch any message); never unset, so a later
-  /// single-threaded run merely pays the (correct) atomic cost.
-  static void enable_concurrent_refs() {
-    concurrent_refs_.store(true, std::memory_order_relaxed);
-  }
-
  private:
   friend class MessageRef;
   template <typename T>
@@ -133,27 +117,11 @@ class Message {
   /// Destroys the object and returns its storage wherever it came from.
   using Recycler = void (*)(const Message*);
 
-  void retain() const {
-    if (concurrent_refs_.load(std::memory_order_relaxed)) [[unlikely]] {
-      refs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      refs_.store(refs_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    }
-  }
+  void retain() const { ++refs_; }
   /// Returns true when this call dropped the last reference.
-  [[nodiscard]] bool release_ref() const {
-    if (concurrent_refs_.load(std::memory_order_relaxed)) [[unlikely]] {
-      return refs_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    }
-    const std::uint32_t left = refs_.load(std::memory_order_relaxed) - 1;
-    refs_.store(left, std::memory_order_relaxed);
-    return left == 0;
-  }
+  [[nodiscard]] bool release_ref() const { return --refs_ == 0; }
 
-  static inline std::atomic<bool> concurrent_refs_{false};
-
-  mutable std::atomic<std::uint32_t> refs_{0};
+  mutable std::uint32_t refs_ = 0;
   mutable Recycler recycler_ = nullptr;
 };
 

@@ -57,9 +57,7 @@ class MessagePool {
     }
     T* object = new (block) T(std::forward<Args>(args)...);
     const Message* base = object;
-    // Freshly constructed object: not yet visible to any other thread, so a
-    // relaxed store is enough even in concurrent-refs mode.
-    base->refs_.store(1, std::memory_order_relaxed);
+    base->refs_ = 1;
     base->recycler_ = &recycle;
     MessageRef ref;
     ref.ptr_ = base;

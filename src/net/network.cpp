@@ -49,15 +49,9 @@ Network::Network(sim::Simulator& simulator,
       host_key_base_(rng_.split(0x4057).next_u64()) {
   BRISA_ASSERT(latency_ != nullptr);
   BRISA_ASSERT(config_.upload_Bps > 0);
-  if (simulator_.shards() > 1) {
-    // Fan-out messages will be referenced from several shard threads.
-    Message::enable_concurrent_refs();
-  }
 }
 
 NodeId Network::add_host() {
-  BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
-                   "add_host from a host-lane event");
   Host h;
   // A host created mid-run starts with idle NIC/CPU *now*, not at origin.
   h.nic_free_at = simulator_.now();
@@ -71,7 +65,6 @@ NodeId Network::add_host() {
     h.fault_rng = sim::CounterRng::keyed(fault_key_base_, index);
   }
   hosts_.push_back(std::move(h));
-  simulator_.register_host_lanes(static_cast<std::uint32_t>(hosts_.size()));
   ++alive_count_;
   alive_cache_valid_ = false;
   if (fault_plan_ != nullptr) {
@@ -85,8 +78,6 @@ NodeId Network::add_host() {
 }
 
 void Network::kill(NodeId node) {
-  BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
-                   "kill from a host-lane event");
   Host& h = host(node);
   if (!h.alive) return;
   h.alive = false;
@@ -103,8 +94,6 @@ void Network::kill(NodeId node) {
 }
 
 void Network::suspend(NodeId node) {
-  BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
-                   "suspend from a host-lane event");
   Host& h = host(node);
   if (!h.alive || h.is_suspended) return;
   h.is_suspended = true;
@@ -117,8 +106,6 @@ void Network::suspend(NodeId node) {
 }
 
 void Network::resume(NodeId node) {
-  BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
-                   "resume from a host-lane event");
   Host& h = host(node);
   if (!h.alive || !h.is_suspended) return;
   h.is_suspended = false;
@@ -131,8 +118,6 @@ void Network::resume(NodeId node) {
 }
 
 void Network::install_fault_plan(const FaultPlan* plan) {
-  BRISA_ASSERT_MSG(!simulator_.in_parallel_phase(),
-                   "install_fault_plan from a host-lane event");
   fault_plan_ = plan;
   if (plan != nullptr) {
     // Key every host's fault stream only now: runs without a plan never
@@ -283,10 +268,9 @@ void Network::send_datagram(NodeId from, NodeId to, MessagePtr message,
     }
     flight = fault_adjust(from, to, flight);
   }
-  // Cross-host flight may never undercut the conservative window length
-  // (the latency models guarantee min_flight() >= lookahead; this floor is
-  // applied identically for every shard count, including 1, where it is a
-  // no-op because lookahead is also set there).
+  // Cross-host flight may never undercut the lookahead (the latency models
+  // guarantee min_flight() >= lookahead, so this floor is a no-op for the
+  // testbed's settings).
   if (from != to && flight < simulator_.lookahead()) [[unlikely]] {
     flight = simulator_.lookahead();
   }

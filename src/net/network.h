@@ -185,9 +185,8 @@ class Network : public sim::DeliverEvent::Sink {
                   bool datagram);
 
   /// Network-wide fault counters (tests, analysis reports). Link-level
-  /// fields are kept per host (they are bumped from host-lane events, which
-  /// run in parallel under sharding) and aggregated here on read; suspends/
-  /// resumes are serial-phase-only and stay global.
+  /// fields are kept per host (bumped on the host's own send/receive path)
+  /// and aggregated here on read; suspends/resumes stay global.
   struct FaultTotals {
     std::uint64_t datagrams_dropped = 0;
     std::uint64_t datagrams_blackholed = 0;
@@ -261,7 +260,6 @@ class Network : public sim::DeliverEvent::Sink {
   /// per limits.rate_recovery period. At full gain — and always when rate
   /// control is off — it is a single branch returning false, so protocol
   /// timers can gate on it unconditionally without perturbing outputs.
-  /// Mutates only the caller host's state, so it stays shard-safe.
   [[nodiscard]] bool tx_defer(NodeId node);
 
   /// Current AIMD gain for `node` in Q8 fixed point (256 = full rate);
@@ -309,10 +307,9 @@ class Network : public sim::DeliverEvent::Sink {
   void on_deliver(const sim::DeliverEvent& event) override;
 
   /// Per-host state. Everything mutated on the steady-state send/receive
-  /// paths lives here, because those paths execute on the host's lane —
-  /// possibly in parallel with other hosts' lanes under sharded execution.
-  /// Membership flags (alive/is_suspended) are written only from serial
-  /// phases and merely read from host lanes.
+  /// paths lives here, because those paths execute on the host's lane.
+  /// Membership flags (alive/is_suspended) are written only from global-lane
+  /// events and merely read from host lanes.
   ///
   /// Cache-line aligned, hottest first: the first line holds everything a
   /// send or a delivery touches except the traffic counters, and the

@@ -7,7 +7,7 @@ bool Process::alive_gate(const void* ctx, std::uint32_t arg) {
 }
 
 sim::EventId Process::after(sim::Duration delay, sim::Callback fn) {
-  // Host-lane timer: fires on this host's shard under sharded execution.
+  // Host-lane timer: orders among this host's events, gated on liveness.
   return simulator().after_host_gated(id_.index(), delay,
                                       &Process::alive_gate, &network_,
                                       id_.index(), std::move(fn));

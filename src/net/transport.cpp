@@ -206,7 +206,7 @@ void Transport::handle_syn_ack(ConnectionId initiator_half,
                                NodeId to) {
   Half* a = find(initiator_half);
   if (a == nullptr || a->state != State::kSynSent) {
-    // The dial is gone (initiator killed or frozen meanwhile: the serial
+    // The dial is gone (initiator killed or frozen meanwhile: the kill's
     // teardown erased its halves, and a still-kSynSent half has no
     // peer_half for that teardown to sever). Tell the acceptor, which
     // already considers the connection up.
@@ -337,9 +337,8 @@ void Transport::schedule_failure_notice(NodeId at, ConnectionId conn,
 void Transport::schedule_remote_sever(NodeId target, ConnectionId target_half,
                                       NodeId peer, CloseReason reason,
                                       sim::Duration delay) {
-  // The delay is passed in, never derived from the execution phase: lane
-  // events use the lookahead (cross-lane discipline), serial phases zero.
-  // Both are shard-count-invariant.
+  // The delay is passed in by the caller: host-lane events use the
+  // lookahead, global-lane events (kills, freezes) zero.
   network_.simulator().at_host(
       target.index(), network_.simulator().now() + delay,
       [this, target, target_half, peer, reason]() {
@@ -508,7 +507,7 @@ LinkVerdict Transport::resolve_segment_verdict(NodeId sender, NodeId receiver,
   return verdict;
 }
 
-// --- Fail/recover hooks (serial phases) -------------------------------------
+// --- Fail/recover hooks (global-lane events) --------------------------------
 
 void Transport::queue_resume_notice(NodeId node, PendingNotice notice) {
   ensure_host(node.index());

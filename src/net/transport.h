@@ -8,13 +8,12 @@
 //
 // State is partitioned as *half-connections*: each endpoint owns a Half
 // record in its host's slab, mutated only from that host's lane (or from
-// serial phases). A ConnectionId names the holder's own half, so handlers on
-// the two ends of one connection hold *different* ids — each side only ever
-// uses ids handed to it by its own callbacks, which protocols already do.
-// Cross-endpoint effects (SYN/SYN-ACK/FIN arrivals, failure notices) travel
-// as host-lane events delayed at least the simulator lookahead, which keeps
-// the sharded event loop conservative and the results independent of the
-// shard count.
+// global-lane events such as kills). A ConnectionId names the holder's own
+// half, so handlers on the two ends of one connection hold *different* ids —
+// each side only ever uses ids handed to it by its own callbacks, which
+// protocols already do. Cross-endpoint effects (SYN/SYN-ACK/FIN arrivals,
+// failure notices) travel as host-lane events delayed at least the
+// simulator lookahead, like any cross-host message.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +103,7 @@ class Transport final : public Network::DeathListener,
   /// be cancelled). Handlers must treat unknown/stale ids in
   /// on_connection_down as a no-op, as HyParView does.
 
-  // Network::DeathListener (all invoked from serial phases)
+  // Network::DeathListener (all invoked from global-lane events)
   void on_host_killed(NodeId node) override;
   void on_host_suspended(NodeId node) override;
   void on_host_resumed(NodeId node) override;
@@ -178,7 +177,7 @@ class Transport final : public Network::DeathListener,
   };
 
   /// Everything the transport keeps for one host; mutated only from that
-  /// host's lane or from serial phases. Sized by on_host_added/bind, never
+  /// host's lane or from global-lane events. Sized by on_host_added/bind, never
   /// from lane events. Line-aligned, and laid out so the handler, the free
   /// list and the 16-byte slab header fill the first 32 bytes: the first
   /// inline half completes that line and no half straddles one.
@@ -217,8 +216,8 @@ class Transport final : public Network::DeathListener,
                                CloseReason reason);
 
   /// Schedules handle_remote_sever at `target`'s lane `delay` from now:
-  /// lookahead when called from a lane event (cross-lane discipline), zero
-  /// from serial phases.
+  /// lookahead when called from a host-lane event, zero from global-lane
+  /// events.
   void schedule_remote_sever(NodeId target, ConnectionId target_half,
                              NodeId peer, CloseReason reason,
                              sim::Duration delay);

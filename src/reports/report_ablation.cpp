@@ -47,7 +47,6 @@ int ablation_run(const workload::Scenario& scenario) {
     workload::BrisaSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     config.hyparview.active_size = 4;
     config.brisa.strategy = strategy;
     config.join_spread = sim::Duration::seconds(30);

@@ -62,7 +62,6 @@ int run_bandwidth_report(const workload::Scenario& scenario,
       workload::BrisaSystem::Config config;
       config.seed = seed;
       config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
       config.hyparview.active_size = structure.view;
       config.hyparview.passive_size = structure.view * 6;
       config.brisa.mode = structure.mode;

@@ -82,7 +82,6 @@ struct CellParams {
   double rate = 5.0;
   std::size_t payload = 256;
   bool faulted = true;
-  std::uint32_t shards = 1;
   net::Limits limits;
 };
 
@@ -101,7 +100,6 @@ CellResult run_brisa(const CellParams& p) {
   workload::BrisaSystem::Config config;
   config.seed = p.seed;
   config.num_nodes = p.nodes;
-  config.shards = p.shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(25);
   config.brisa.limits = p.limits;
@@ -139,7 +137,6 @@ CellResult run_gossip(const CellParams& p) {
   workload::SimpleGossipSystem::Config config;
   config.seed = p.seed;
   config.num_nodes = p.nodes;
-  config.shards = p.shards;
   config.fanout = workload::gossip_fanout_for(p.nodes);
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(10);
@@ -178,7 +175,6 @@ CellResult run_tree(const CellParams& p) {
   workload::SimpleTreeSystem::Config config;
   config.seed = p.seed;
   config.num_nodes = p.nodes;
-  config.shards = p.shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(10);
   config.limits = p.limits;
@@ -227,7 +223,6 @@ CellResult run_tag(const CellParams& p) {
   workload::TagSystem::Config config;
   config.seed = p.seed;
   config.num_nodes = p.nodes;
-  config.shards = p.shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(20);
   config.tag.limits = p.limits;
@@ -329,7 +324,6 @@ int buffer_tradeoff_run(const workload::Scenario& scenario) {
   base.rate = scenario.rate_or(5.0);
   base.payload = scenario.payload_or(256);
   base.faulted = faults;
-  base.shards = scenario.shards_or(1);
   base.limits.bloom_digests = bloom;
   base.limits.rate_control = rate_control;
 

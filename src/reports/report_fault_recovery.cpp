@@ -112,11 +112,10 @@ net::FaultPlan partition_plan(std::size_t nodes, std::int64_t duration_s) {
 
 ScenarioResult run_brisa(std::uint64_t seed, std::size_t nodes,
                          std::size_t messages, const std::string& scenario,
-                         const net::FaultPlan& plan, std::uint32_t shards) {
+                         const net::FaultPlan& plan) {
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(25);
   workload::BrisaSystem system(config);
@@ -131,11 +130,10 @@ ScenarioResult run_brisa(std::uint64_t seed, std::size_t nodes,
 
 ScenarioResult run_gossip(std::uint64_t seed, std::size_t nodes,
                           std::size_t messages, const std::string& scenario,
-                          const net::FaultPlan& plan, std::uint32_t shards) {
+                          const net::FaultPlan& plan) {
   workload::SimpleGossipSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   workload::SimpleGossipSystem system(config);
   system.bootstrap();
@@ -149,11 +147,10 @@ ScenarioResult run_gossip(std::uint64_t seed, std::size_t nodes,
 
 ScenarioResult run_tree(std::uint64_t seed, std::size_t nodes,
                         std::size_t messages, const std::string& scenario,
-                        const net::FaultPlan& plan, std::uint32_t shards) {
+                        const net::FaultPlan& plan) {
   workload::SimpleTreeSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   workload::SimpleTreeSystem system(config);
   system.bootstrap();
@@ -196,7 +193,6 @@ int fault_recovery_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(96);
   const std::size_t messages = scenario.messages_or(60);
   const std::uint64_t seed = scenario.seed_or(1);
-  const std::uint32_t shards = scenario.shards_or(1);
   // --protocols / --regimes narrow the grid (the sweep executor's per-cell
   // form); the defaults reproduce the full classic report byte for byte.
   const std::string protocols =
@@ -219,19 +215,19 @@ int fault_recovery_run(const workload::Scenario& scenario) {
     if (wants("brisa")) {
       std::fprintf(stderr, "running %s/brisa...\n", scenario_name.c_str());
       results.push_back(
-          run_brisa(seed, nodes, messages, scenario_name, plan, shards));
+          run_brisa(seed, nodes, messages, scenario_name, plan));
     }
     if (wants("gossip")) {
       std::fprintf(stderr, "running %s/gossip-flood...\n",
                    scenario_name.c_str());
       results.push_back(
-          run_gossip(seed, nodes, messages, scenario_name, plan, shards));
+          run_gossip(seed, nodes, messages, scenario_name, plan));
     }
     if (wants("tree")) {
       std::fprintf(stderr, "running %s/simple-tree...\n",
                    scenario_name.c_str());
       results.push_back(
-          run_tree(seed, nodes, messages, scenario_name, plan, shards));
+          run_tree(seed, nodes, messages, scenario_name, plan));
     }
   };
   // Each regime token is `loss_<percent>` or `partition_<seconds>s`.

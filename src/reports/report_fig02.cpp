@@ -65,7 +65,6 @@ int fig02_run(const workload::Scenario& scenario) {
     config.num_nodes = nodes;
     config.testbed = workload::scenario_testbed(scenario);
     config.topology = workload::scenario_topology(scenario);
-    config.shards = scenario.shards_or(1);
     config.hyparview.active_size = static_cast<std::size_t>(view);
     config.hyparview.passive_size = static_cast<std::size_t>(view) * 6;
     config.brisa.prune = false;  // pure flooding

@@ -50,7 +50,6 @@ int fig06_run(const workload::Scenario& scenario) {
     system_config.num_nodes = nodes;
     system_config.testbed = workload::scenario_testbed(scenario);
     system_config.topology = workload::scenario_topology(scenario);
-    system_config.shards = scenario.shards_or(1);
     system_config.hyparview.active_size = cfg.view;
     system_config.hyparview.passive_size = cfg.view * 6;
     system_config.brisa.mode = cfg.mode;

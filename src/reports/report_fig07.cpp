@@ -49,7 +49,6 @@ int fig07_run(const workload::Scenario& scenario) {
     workload::BrisaSystem::Config system_config;
     system_config.seed = seed;
     system_config.num_nodes = nodes;
-    system_config.shards = scenario.shards_or(1);
     system_config.hyparview.active_size = cfg.view;
     system_config.hyparview.passive_size = cfg.view * 6;
     system_config.brisa.mode = cfg.mode;

@@ -35,7 +35,6 @@ int fig08_run(const workload::Scenario& scenario) {
 
   for (const std::size_t view : {std::size_t{4}, std::size_t{8}}) {
     workload::BrisaSystem::Config config;
-    config.shards = scenario.shards_or(1);
     config.seed = seed;
     config.num_nodes = nodes;
     config.hyparview.active_size = view;

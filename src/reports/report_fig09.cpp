@@ -31,11 +31,10 @@ struct VariantResult {
 VariantResult run_variant(std::uint64_t seed, std::size_t nodes,
                           std::size_t messages,
                           core::ParentSelectionStrategy strategy,
-                          bool prune, std::uint32_t shards) {
+                          bool prune) {
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.testbed = workload::TestbedKind::kPlanetLab;
   config.hyparview.active_size = 4;
   config.brisa.strategy = strategy;
@@ -121,16 +120,15 @@ int fig09_run(const workload::Scenario& scenario) {
     }
   }
 
-  const std::uint32_t shards = scenario.shards_or(1);
   const VariantResult delay_aware =
       run_variant(seed, nodes, messages,
-                  core::ParentSelectionStrategy::kDelayAware, true, shards);
+                  core::ParentSelectionStrategy::kDelayAware, true);
   const VariantResult first_pick = run_variant(
       seed, nodes, messages,
-      core::ParentSelectionStrategy::kFirstComeFirstPicked, true, shards);
+      core::ParentSelectionStrategy::kFirstComeFirstPicked, true);
   const VariantResult flood = run_variant(
       seed, nodes, messages,
-      core::ParentSelectionStrategy::kFirstComeFirstPicked, false, shards);
+      core::ParentSelectionStrategy::kFirstComeFirstPicked, false);
 
   print_cdf("point-to-point (ms percent)", p2p_ms);
   print_cdf("delay-aware (ms percent)", delay_aware.cum_rtt_ms);

@@ -80,7 +80,6 @@ int fig12_run(const workload::Scenario& scenario) {
       workload::SimpleTreeSystem::Config config;
       config.seed = seed;
       config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
       workload::SimpleTreeSystem system(config);
       system.bootstrap();
       const PhaseBytes r =
@@ -97,7 +96,6 @@ int fig12_run(const workload::Scenario& scenario) {
       workload::BrisaSystem::Config config;
       config.seed = seed;
       config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
       config.hyparview.active_size = 4;
       workload::BrisaSystem system(config);
       system.bootstrap();
@@ -117,7 +115,6 @@ int fig12_run(const workload::Scenario& scenario) {
       workload::TagSystem::Config config;
       config.seed = seed;
       config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
       workload::TagSystem system(config);
       system.bootstrap();
       const PhaseBytes r =
@@ -135,7 +132,6 @@ int fig12_run(const workload::Scenario& scenario) {
       workload::SimpleGossipSystem::Config config;
       config.seed = seed;
       config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
       workload::SimpleGossipSystem system(config);
       system.bootstrap();
       // SimpleGossip has no structure: the paper attributes everything to

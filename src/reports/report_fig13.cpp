@@ -19,12 +19,10 @@ namespace {
 
 std::vector<double> brisa_construction_s(std::uint64_t seed,
                                          std::size_t nodes,
-                                         workload::TestbedKind testbed,
-                                         std::uint32_t shards) {
+                                         workload::TestbedKind testbed) {
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.testbed = testbed;
   config.hyparview.active_size = 4;
   config.stabilization =
@@ -49,12 +47,10 @@ std::vector<double> brisa_construction_s(std::uint64_t seed,
 }
 
 std::vector<double> tag_construction_s(std::uint64_t seed, std::size_t nodes,
-                                       workload::TestbedKind testbed,
-                                       std::uint32_t shards) {
+                                       workload::TestbedKind testbed) {
   workload::TagSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.testbed = testbed;
   config.join_spread = sim::Duration::seconds(60);
   config.stabilization =
@@ -100,15 +96,14 @@ int fig13_run(const workload::Scenario& scenario) {
       "nodes ===\n",
       cluster_nodes, planetlab_nodes);
 
-  const std::uint32_t shards = scenario.shards_or(1);
   const auto brisa_cluster = brisa_construction_s(
-      seed, cluster_nodes, workload::TestbedKind::kCluster, shards);
+      seed, cluster_nodes, workload::TestbedKind::kCluster);
   const auto tag_cluster = tag_construction_s(
-      seed, cluster_nodes, workload::TestbedKind::kCluster, shards);
+      seed, cluster_nodes, workload::TestbedKind::kCluster);
   const auto brisa_pl = brisa_construction_s(
-      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab, shards);
+      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab);
   const auto tag_pl = tag_construction_s(
-      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab, shards);
+      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab);
 
   print_cdf("BRISA cluster (s percent)", brisa_cluster);
   print_cdf("TAG cluster (s percent)", tag_cluster);

@@ -47,7 +47,6 @@ int fig14_run(const workload::Scenario& scenario) {
     workload::BrisaSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     config.hyparview.active_size = 4;
     workload::BrisaSystem system(config);
     system.bootstrap();
@@ -77,7 +76,6 @@ int fig14_run(const workload::Scenario& scenario) {
     workload::TagSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     workload::TagSystem system(config);
     system.bootstrap();
     system.run_stream(30, 5.0, 1024, sim::Duration::seconds(30));

@@ -279,17 +279,6 @@ int generic_run(const workload::Scenario& s) {
   }
   std::printf("%s", analysis::format_stream_table(rows).c_str());
 
-  // Sharded-execution diagnostics go to stderr: steals and barrier waits
-  // vary with worker scheduling, and stdout must stay byte-identical across
-  // shard counts (the determinism guarantee the golden tests pin).
-  const std::vector<analysis::CounterRow> shard_rows =
-      analysis::shard_counter_rows(base->simulator());
-  if (!shard_rows.empty()) {
-    std::fprintf(
-        stderr, "%s",
-        analysis::format_counters("shard counters", shard_rows).c_str());
-  }
-
   if (s.cdf.value_or(false)) {
     print_cdf("delivery delay CDF (ms percent)",
               adapter.delivery_delays_ms());

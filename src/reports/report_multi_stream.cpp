@@ -38,13 +38,12 @@ struct ConfigResult {
 ConfigResult run_config(std::uint64_t seed, std::size_t nodes,
                         std::size_t streams, std::size_t messages,
                         double rate, std::size_t payload, double fraction,
-                        bool churn, std::uint32_t shards) {
+                        bool churn) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.num_streams = streams;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(25);
@@ -154,8 +153,7 @@ int multi_stream_run(const workload::Scenario& scenario) {
                  static_cast<long long>(streams));
     results.push_back(run_config(seed, nodes,
                                  static_cast<std::size_t>(streams), messages,
-                                 rate, payload, fraction, churn,
-                                 scenario.shards_or(1)));
+                                 rate, payload, fraction, churn));
     const ConfigResult& r = results.back();
     std::printf("--- %zu stream(s): min reliability %.2f%%, %.1fs wall, "
                 "%.2fM events ---\n%s",

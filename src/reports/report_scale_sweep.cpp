@@ -100,12 +100,11 @@ void finish_run(System& system, bool faulted,
 
 RunResult run_brisa(std::uint64_t seed, std::size_t nodes,
                     std::size_t messages, double rate, std::size_t payload,
-                    bool faulted, std::uint32_t shards) {
+                    bool faulted) {
   const auto wall_start = std::chrono::steady_clock::now();
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(25);
   workload::BrisaSystem system(config);
@@ -136,12 +135,11 @@ RunResult run_brisa(std::uint64_t seed, std::size_t nodes,
 
 RunResult run_gossip(std::uint64_t seed, std::size_t nodes,
                      std::size_t messages, double rate, std::size_t payload,
-                     bool faulted, std::uint32_t shards) {
+                     bool faulted) {
   const auto wall_start = std::chrono::steady_clock::now();
   workload::SimpleGossipSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.fanout = workload::gossip_fanout_for(nodes);
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(10);
@@ -173,12 +171,11 @@ RunResult run_gossip(std::uint64_t seed, std::size_t nodes,
 
 RunResult run_tree(std::uint64_t seed, std::size_t nodes,
                    std::size_t messages, double rate, std::size_t payload,
-                   bool faulted, std::uint32_t shards) {
+                   bool faulted) {
   const auto wall_start = std::chrono::steady_clock::now();
   workload::SimpleTreeSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(10);
   workload::SimpleTreeSystem system(config);
@@ -222,13 +219,11 @@ RunResult run_tree(std::uint64_t seed, std::size_t nodes,
 }
 
 RunResult run_tag(std::uint64_t seed, std::size_t nodes, std::size_t messages,
-                  double rate, std::size_t payload, bool faulted,
-                  std::uint32_t shards) {
+                  double rate, std::size_t payload, bool faulted) {
   const auto wall_start = std::chrono::steady_clock::now();
   workload::TagSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.join_spread = sim::Duration::seconds(20);
   config.stabilization = sim::Duration::seconds(20);
   workload::TagSystem system(config);
@@ -312,7 +307,6 @@ int scale_sweep_run(const workload::Scenario& scenario) {
   const double rate = scenario.rate_or(5.0);
   const std::size_t payload = scenario.payload_or(256);
   const std::uint64_t seed = scenario.seed_or(1);
-  const std::uint32_t shards = scenario.shards_or(1);
   const bool fault_variant = scenario.param_bool("fault-variant", true);
   // --variants names the fault variants to run explicitly (the sweep grid's
   // per-cell form); it defaults to what --fault-variant implies.
@@ -336,8 +330,7 @@ int scale_sweep_run(const workload::Scenario& scenario) {
         std::fprintf(stderr, "running brisa %zu %s...\n", nodes,
                      faulted ? "faulted" : "clean");
         results.push_back(
-            run_brisa(seed, nodes, messages, rate, payload, faulted,
-                      shards));
+            run_brisa(seed, nodes, messages, rate, payload, faulted));
         print_row(results.back());
       }
       if (wants("gossip")) {
@@ -348,8 +341,7 @@ int scale_sweep_run(const workload::Scenario& scenario) {
           std::fprintf(stderr, "running gossip %zu %s...\n", nodes,
                        faulted ? "faulted" : "clean");
           results.push_back(
-              run_gossip(seed, nodes, messages, rate, payload, faulted,
-                         shards));
+              run_gossip(seed, nodes, messages, rate, payload, faulted));
           print_row(results.back());
         }
       }
@@ -361,8 +353,7 @@ int scale_sweep_run(const workload::Scenario& scenario) {
           std::fprintf(stderr, "running tree %zu %s...\n", nodes,
                        faulted ? "faulted" : "clean");
           results.push_back(
-              run_tree(seed, nodes, messages, rate, payload, faulted,
-                       shards));
+              run_tree(seed, nodes, messages, rate, payload, faulted));
           print_row(results.back());
         }
       }
@@ -374,8 +365,7 @@ int scale_sweep_run(const workload::Scenario& scenario) {
           std::fprintf(stderr, "running tag %zu %s...\n", nodes,
                        faulted ? "faulted" : "clean");
           results.push_back(
-              run_tag(seed, nodes, messages, rate, payload, faulted,
-                      shards));
+              run_tag(seed, nodes, messages, rate, payload, faulted));
           print_row(results.back());
         }
       }

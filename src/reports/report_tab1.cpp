@@ -30,12 +30,10 @@ struct ChurnResult {
 
 ChurnResult run_churn(std::uint64_t seed, std::size_t nodes,
                       double churn_percent, core::StructureMode mode,
-                      std::size_t parents, std::int64_t churn_seconds,
-                      std::uint32_t shards) {
+                      std::size_t parents, std::int64_t churn_seconds) {
   workload::BrisaSystem::Config config;
   config.seed = seed;
   config.num_nodes = nodes;
-  config.shards = shards;
   config.hyparview.active_size = 4;
   config.brisa.mode = mode;
   config.brisa.num_parents = parents;
@@ -127,7 +125,7 @@ int tab1_run(const workload::Scenario& scenario) {
         const ChurnResult result = run_churn(
             seed, static_cast<std::size_t>(nodes), churn,
             dag ? core::StructureMode::kDag : core::StructureMode::kTree,
-            dag ? 2 : 1, churn_seconds, scenario.shards_or(1));
+            dag ? 2 : 1, churn_seconds);
         table.add_row({std::to_string(nodes),
                        analysis::Table::num(churn, 0) + "%",
                        dag ? "DAG-2" : "tree",

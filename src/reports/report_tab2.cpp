@@ -43,7 +43,6 @@ int tab2_run(const workload::Scenario& scenario) {
     workload::SimpleTreeSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     workload::SimpleTreeSystem system(config);
     system.bootstrap();
     system.run_stream(messages, 5.0, 1024);
@@ -58,7 +57,6 @@ int tab2_run(const workload::Scenario& scenario) {
     workload::BrisaSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     config.hyparview.active_size = 4;
     workload::BrisaSystem system(config);
     system.bootstrap();
@@ -74,7 +72,6 @@ int tab2_run(const workload::Scenario& scenario) {
     workload::SimpleGossipSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     workload::SimpleGossipSystem system(config);
     system.bootstrap();
     system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(60));
@@ -89,7 +86,6 @@ int tab2_run(const workload::Scenario& scenario) {
     workload::TagSystem::Config config;
     config.seed = seed;
     config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
     workload::TagSystem system(config);
     system.bootstrap();
     system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(240));

@@ -279,9 +279,6 @@ std::string scenario_key_error(const workload::Scenario& scenario,
   // Labels are always fine.
   reachable.push_back("scenario.name");
   reachable.push_back("scenario.report");
-  // Executor knobs, honored by every harness; results are byte-identical for
-  // any value, so no figure can be distorted by them.
-  reachable.push_back("run.shards");
 
   for (const auto& [key, value] : scenario.set_keys()) {
     // [sweep] keys are consumed upstream by the sweep executor, never by

@@ -14,10 +14,9 @@
 // runs in O(live events) memory.
 //
 // The sort key is supplied by the caller (the Simulator), not generated
-// here: under sharded execution the same logical event may be inserted into
-// different queues depending on the shard count, so ordering must come from
-// a canonical key — (when, destination lane, creator-scoped order) — that is
-// itself shard-count-invariant. See simulator.h for the key construction.
+// here: ordering comes from a canonical key — (when, destination lane,
+// creator-scoped order) — so equal-time ties break by lane and creator
+// rather than by insertion order. See simulator.h for the key construction.
 #pragma once
 
 #include <compare>
@@ -46,13 +45,12 @@ struct EventId {
 
 inline constexpr EventId kInvalidEventId{};
 
-/// Canonical, shard-count-invariant sort key.
+/// Canonical sort key.
 ///   when  — absolute fire time;
 ///   lane  — destination lane (0 = global/control, h+1 = host h); at equal
 ///           times, control events run before host events;
 ///   order — (creator lane << 40) | per-creator sequence number. Unique per
-///           event, and invariant because each lane's execution order is
-///           itself invariant (induction over windows).
+///           event.
 struct EventKey {
   TimePoint when;
   std::uint32_t lane = 0;
@@ -73,12 +71,6 @@ class EventQueue {
 
   /// Schedules a typed network delivery (no closure, no allocation).
   EventId schedule_deliver(const EventKey& key, const DeliverEvent& event);
-
-  /// Inserts an already-built payload (the mailbox flush path: cross-shard
-  /// events arrive with their payload and gate packed into a Mail).
-  EventId schedule_payload(const EventKey& key, EventPayload payload,
-                           GatePredicate gate, const void* ctx,
-                           std::uint32_t arg);
 
   /// Schedules a periodic-cohort tick (owner-dispatched at pop; see
   /// TickEvent). Ticks are queue-internal bookkeeping, not simulation
@@ -165,10 +157,6 @@ class EventQueue {
 
   /// Highest number of simultaneously pending events seen.
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
-
-  /// Slot indices must fit in 26 bits: the Simulator packs a 6-bit queue
-  /// index into the high bits of EventId::slot to route cancels.
-  static constexpr std::uint32_t kSlotIndexBits = 26;
 
  private:
   static constexpr std::uint32_t kNullIndex = 0xffffffff;
@@ -292,7 +280,7 @@ inline EventId EventQueue::acquire_slot(const EventKey& key, bool tick) {
     free_head_ = slots_[index].next_free;
   } else {
     index = static_cast<std::uint32_t>(slots_.size());
-    BRISA_ASSERT_MSG(index < (1u << kSlotIndexBits), "event slab exhausted");
+    BRISA_ASSERT_MSG(index != kNullIndex, "event slab exhausted");
     slots_.emplace_back();
     // Start at the generation floor shrink() recorded, so handles issued
     // before a full shrink can never alias a slot regrown after it.
@@ -358,25 +346,10 @@ inline EventId EventQueue::schedule_deliver(const EventKey& key,
   return id;
 }
 
-
 inline EventId EventQueue::schedule_tick(const EventKey& key,
                                          const TickEvent& tick) {
   const EventId id = acquire_slot(key, /*tick=*/true);
   slots_[id.slot].payload = EventPayload(tick);
-  return id;
-}
-
-inline EventId EventQueue::schedule_payload(const EventKey& key,
-                                            EventPayload payload,
-                                            GatePredicate gate,
-                                            const void* ctx,
-                                            std::uint32_t arg) {
-  const EventId id = acquire_slot(key);
-  Slot& slot = slots_[id.slot];
-  slot.payload = std::move(payload);
-  slot.gate = gate;
-  slot.gate_ctx = ctx;
-  slot.gate_arg = arg;
   return id;
 }
 

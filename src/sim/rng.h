@@ -8,11 +8,10 @@
 //     another — a requirement for comparing protocols on identical workloads.
 //
 //   * CounterRng — a counter-based (stateless-mix) stream keyed by
-//     (key, counter). Used for per-host network draws under the sharded
-//     event loop: the stream a host consumes is a pure function of the
-//     host's key and how many draws *that host* has made, so the sequence
-//     is independent of how hosts are partitioned across shards — the
-//     property the shard-count-invariance golden tests pin down.
+//     (key, counter). Used for per-host network draws: the stream a host
+//     consumes is a pure function of the host's key and how many draws
+//     *that host* has made, so one host's traffic never shifts another
+//     host's sequence.
 #pragma once
 
 #include <algorithm>
@@ -182,9 +181,8 @@ class Rng : public RngMixin<Rng> {
 /// Counter-based stream: output i is mix64(key + C1*i) — SplitMix64 with
 /// the stream key as its seed — so the sequence is a pure function of
 /// (key, draw index). 16 bytes of state, no warm-up, one mix per draw on
-/// the network hot path, and — the property the sharded simulator needs —
-/// keying a stream per host makes every host's draw sequence independent
-/// of which shard executes it.
+/// the network hot path, and keying a stream per host makes every host's
+/// draw sequence independent of every other host's draws.
 class CounterRng : public RngMixin<CounterRng> {
  public:
   CounterRng() : CounterRng(0) {}

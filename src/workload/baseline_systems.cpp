@@ -9,8 +9,7 @@ namespace brisa::workload {
 // --- SimpleTreeSystem ---------------------------------------------------------
 
 SimpleTreeSystem::SimpleTreeSystem(Config config)
-    : SystemBase(config.seed, config.testbed, config.topology, config.limits,
-                 config.shards),
+    : SystemBase(config.seed, config.testbed, config.topology, config.limits),
       config_(config) {}
 
 void SimpleTreeSystem::bootstrap() {
@@ -88,7 +87,7 @@ bool SimpleTreeSystem::complete_delivery() const {
 
 SimpleGossipSystem::SimpleGossipSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology,
-                 config.gossip.limits, config.shards),
+                 config.gossip.limits),
       config_(config) {
   if (config_.fanout == 0) {
     config_.fanout = gossip_fanout_for(config_.num_nodes);
@@ -233,7 +232,7 @@ bool SimpleGossipSystem::complete_delivery() const {
 
 TagSystem::TagSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology,
-                 config.tag.limits, config.shards),
+                 config.tag.limits),
       config_(config) {
   config_.tag.num_streams = config_.num_streams;
 }

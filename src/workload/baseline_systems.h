@@ -31,8 +31,6 @@ class SimpleTreeSystem final : public SystemBase {
     /// Network-level bandwidth discipline (the tree relays without a store,
     /// so only the rate-control/instrumentation half applies here).
     net::Limits limits;
-    /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
-    std::uint32_t shards = 1;
   };
 
   explicit SimpleTreeSystem(Config config);
@@ -77,8 +75,6 @@ class SimpleGossipSystem final : public SystemBase {
     sim::Duration stabilization = sim::Duration::seconds(20);
     /// Size of the random seed view handed to bootstrap members.
     std::size_t bootstrap_view = 8;
-    /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
-    std::uint32_t shards = 1;
   };
 
   explicit SimpleGossipSystem(Config config);
@@ -124,8 +120,6 @@ class TagSystem final : public SystemBase {
     baselines::TagNode::Config tag;
     sim::Duration join_spread = sim::Duration::seconds(50);
     sim::Duration stabilization = sim::Duration::seconds(20);
-    /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
-    std::uint32_t shards = 1;
   };
 
   explicit TagSystem(Config config);

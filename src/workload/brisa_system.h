@@ -40,9 +40,6 @@ class BrisaSystem final : public SystemBase {
     /// paper's "randomly chosen node". Further streams source at distinct
     /// randomly chosen nodes.
     std::int32_t source_index = -1;
-    /// Event-lane shards (sim/simulator.h); 1 = classic serial loop. Results
-    /// are byte-identical for every value.
-    std::uint32_t shards = 1;
   };
 
   explicit BrisaSystem(Config config);

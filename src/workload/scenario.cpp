@@ -198,10 +198,6 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
     if (key == "warmup-messages") {
       return void(s.warmup_messages = to_size(context, key, value));
     }
-    if (key == "shards") {
-      return void(s.shards =
-                      static_cast<std::uint32_t>(to_size(context, key, value)));
-    }
   } else if (section == "limits") {
     if (key == "store-entries") {
       return void(s.store_entries = to_size(context, key, value));
@@ -499,9 +495,6 @@ void Scenario::validate() const {
     fail("", "streams flash-rate-per-s must be positive");
   }
   if (parents && *parents == 0) fail("", "overlay parents must be >= 1");
-  if (shards && (*shards == 0 || *shards > 63)) {
-    fail("", "run shards must be in 1..63, got " + std::to_string(*shards));
-  }
   if (streams && *streams == 0) fail("", "streams count must be >= 1");
   if (eviction && *eviction != "oldest-first" &&
       *eviction != "delivered-first") {
@@ -612,7 +605,7 @@ std::string Scenario::to_text() const {
     if (flash_rate) emit(out, "flash-rate-per-s", fmt_double(*flash_rate));
   }
   const bool any_run = join_spread_s || stabilization_s || grace_s ||
-                       warmup_messages || shards;
+                       warmup_messages;
   if (any_run) {
     out += "\n[run]\n";
     if (join_spread_s) emit(out, "join-spread-s", fmt_double(*join_spread_s));
@@ -623,7 +616,6 @@ std::string Scenario::to_text() const {
     if (warmup_messages) {
       emit(out, "warmup-messages", fmt_size(*warmup_messages));
     }
-    if (shards) emit(out, "shards", fmt_size(*shards));
   }
   const bool any_limits = store_entries || store_bytes || eviction ||
                           bloom_digests || bloom_fp || rate_control ||
@@ -725,7 +717,6 @@ std::map<std::string, std::string> Scenario::set_keys() const {
   put_double("run.stabilization-s", stabilization_s);
   put_double("run.grace-s", grace_s);
   put_size("run.warmup-messages", warmup_messages);
-  if (shards) out["run.shards"] = std::to_string(*shards);
   put_size("limits.store-entries", store_entries);
   put_size("limits.store-bytes", store_bytes);
   put_str("limits.eviction", eviction);
@@ -838,7 +829,6 @@ void fill_common(const Scenario& s, Config& config) {
   config.testbed = scenario_testbed(s);
   config.topology = scenario_topology(s);
   config.num_streams = s.streams_or(1);
-  config.shards = s.shards_or(1);
   if (s.join_spread_s) {
     config.join_spread = sim::Duration::milliseconds(
         static_cast<std::int64_t>(*s.join_spread_s * 1e3));

@@ -106,9 +106,6 @@ class Scenario {
   std::optional<double> grace_s;
   /// Messages streamed (and discounted) before measurement starts.
   std::optional<std::size_t> warmup_messages;
-  /// Event-lane shards for the simulator (1 = classic serial loop); results
-  /// are byte-identical for every value, so this is purely an executor knob.
-  std::optional<std::uint32_t> shards;
 
   // --- [limits] -----------------------------------------------------------
   // Bandwidth-discipline layer (net::Limits); absent section = layer off.
@@ -182,9 +179,6 @@ class Scenario {
   }
   [[nodiscard]] double subscription_fraction_or(double d) const {
     return subscription_fraction.value_or(d);
-  }
-  [[nodiscard]] std::uint32_t shards_or(std::uint32_t d) const {
-    return shards.value_or(d);
   }
 
   // --- [params] typed accessors (Flags semantics) -------------------------

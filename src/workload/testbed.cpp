@@ -51,27 +51,21 @@ net::Network::Config with_limits(net::Network::Config config,
 }  // namespace
 
 std::unique_ptr<net::LatencyModel> SystemBase::prepare(
-    sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency,
-    std::uint32_t shards) {
-  // Lookahead is set unconditionally (including shards == 1) so cross-host
-  // flight floors are identical for every shard count — the basis of the
-  // byte-identical-results guarantee.
+    sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency) {
   simulator.set_lookahead(latency->min_flight());
-  if (shards > 1) simulator.configure_sharding(shards);
   return latency;
 }
 
 SystemBase::SystemBase(std::uint64_t seed, TestbedKind testbed,
                        const std::optional<TopologyOverride>& topology,
-                       const net::Limits& limits, std::uint32_t shards)
+                       const net::Limits& limits)
     : testbed_(testbed),
       simulator_(seed),
       network_(simulator_,
                prepare(simulator_,
                        topology && topology->latency
                            ? topology->latency()
-                           : testbed_latency(testbed),
-                       shards),
+                           : testbed_latency(testbed)),
                with_limits(topology && topology->network
                                ? *topology->network
                                : testbed_network_config(testbed),

@@ -48,13 +48,11 @@ class SystemBase {
  public:
   /// `limits` rides into Network::Config (rate-control thresholds and the
   /// tx_usage() classifier); a default Limits keeps the network byte-exact.
-  /// `shards` partitions the host population across that many event lanes
-  /// (see sim/simulator.h); 1 keeps the classic serial loop. The simulator's
-  /// conservative lookahead is always set to the latency model's min_flight(),
-  /// so per-seed results are identical for every shard count.
+  /// The simulator's lookahead is set to the latency model's min_flight(),
+  /// the floor for cross-host flights and transport notice delays.
   SystemBase(std::uint64_t seed, TestbedKind testbed,
              const std::optional<TopologyOverride>& topology = std::nullopt,
-             const net::Limits& limits = {}, std::uint32_t shards = 1);
+             const net::Limits& limits = {});
   virtual ~SystemBase() = default;
 
   SystemBase(const SystemBase&) = delete;
@@ -80,11 +78,10 @@ class SystemBase {
 
  private:
   /// Runs inside the network_ member-initializer so the simulator's
-  /// lookahead/sharding are configured *before* the Network constructor
-  /// inspects simulator.shards() (message refcount mode, lane registration).
+  /// lookahead is set from the latency model *before* the Network (and any
+  /// component built on it) can schedule or read it.
   static std::unique_ptr<net::LatencyModel> prepare(
-      sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency,
-      std::uint32_t shards);
+      sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency);
 
  protected:
   TestbedKind testbed_;

@@ -141,12 +141,16 @@ TEST(Scenario, DiagnosticsCarryLineNumbers) {
   EXPECT_NE(diagnostic_of("[streams]\nsubscription-fraction = 1.5\n")
                 .find("fraction in [0, 1]"),
             std::string::npos);
-  const std::string queue_knob = diagnostic_of("[run]\nqueue = heap\n");
-  EXPECT_NE(queue_knob.find("scenario line 2"), std::string::npos)
-      << queue_knob;
-  EXPECT_NE(queue_knob.find("unknown key 'queue' in section [run]"),
-            std::string::npos)
-      << queue_knob;
+  // Deleted executor knobs are plain unknown keys.
+  for (const std::string knob : {"queue = heap", "shards = 2"}) {
+    const std::string diagnostic = diagnostic_of("[run]\n" + knob + "\n");
+    const std::string key = knob.substr(0, knob.find(' '));
+    EXPECT_NE(diagnostic.find("scenario line 2"), std::string::npos)
+        << diagnostic;
+    EXPECT_NE(diagnostic.find("unknown key '" + key + "' in section [run]"),
+              std::string::npos)
+        << diagnostic;
+  }
 }
 
 TEST(Scenario, SemanticValidation) {
@@ -315,6 +319,19 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
 
   // The generic runner accepts everything.
   EXPECT_EQ(reports::scenario_key_error(typo, *reports::find("run")), "");
+
+  // `--set run.shards=N` (brisa_run applies --set through set_path) is
+  // refused before any report is consulted: [run] has no shards key.
+  Scenario sharded = fig02->defaults();
+  try {
+    sharded.set_path("run.shards", "2");
+    ADD_FAILURE() << "run.shards was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown key 'shards' in section [run]"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// The checked-in fig02 scenario reproduces the fig02 report output byte for

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -244,6 +245,24 @@ std::string write_temp_scenario(const char* tag, const std::string& text) {
   return path;
 }
 
+/// A scratch path under the test temp dir, removed (recursively) when the
+/// guard goes out of scope — also on an early ASSERT return. Sweeps run
+/// with an explicit --spool here: without one the executor creates and
+/// keeps a fresh brisa_sweep_XXXXXX directory per run.
+struct ScratchPath {
+  explicit ScratchPath(const std::string& tag)
+      : path(::testing::TempDir() + "sweep_test_" + tag + "_" +
+             std::to_string(::getpid())) {}
+  ~ScratchPath() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  ScratchPath(const ScratchPath&) = delete;
+  ScratchPath& operator=(const ScratchPath&) = delete;
+
+  const std::string path;
+};
+
 std::string read_file(const std::string& path) {
   std::ifstream file(path);
   std::stringstream buffer;
@@ -270,11 +289,14 @@ TEST(SweepExecutor, MergedOutputIsByteIdenticalAcrossJobCounts) {
       "[sweep]\n"
       "seeds = 1..2\n"
       "param.min-reliability = 0, 2\n");
-  const CommandResult serial = run_command(std::string(kRunner) +
-                                           " --jobs 1 " + scn +
-                                           " 2>/dev/null");
-  const CommandResult wide = run_command(std::string(kRunner) + " --jobs 4 " +
-                                         scn + " 2>/dev/null");
+  const ScratchPath serial_spool("golden_spool1");
+  const ScratchPath wide_spool("golden_spool4");
+  const CommandResult serial = run_command(
+      std::string(kRunner) + " --jobs 1 --spool " + serial_spool.path + " " +
+      scn + " 2>/dev/null");
+  const CommandResult wide = run_command(
+      std::string(kRunner) + " --jobs 4 --spool " + wide_spool.path + " " +
+      scn + " 2>/dev/null");
   // Both invocations report the failing cells...
   ASSERT_TRUE(WIFEXITED(serial.status));
   EXPECT_EQ(WEXITSTATUS(serial.status), 1);
@@ -312,9 +334,10 @@ TEST(SweepExecutor, SweepOverridesShapeTheGridWithoutReachingWorkers) {
       "grace-s = 10\n"
       "[sweep]\n"
       "seeds = 1..3\n");
-  const CommandResult result = run_command(std::string(kRunner) +
-                                           " --jobs 2 --set sweep.seeds=2 " +
-                                           scn + " 2>/dev/null");
+  const ScratchPath spool("narrow_spool");
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --jobs 2 --spool " + spool.path +
+      " --set sweep.seeds=2 " + scn + " 2>/dev/null");
   ASSERT_TRUE(WIFEXITED(result.status));
   EXPECT_EQ(WEXITSTATUS(result.status), 0);
   // One cell, for the seed the override kept.
@@ -352,8 +375,8 @@ TEST(SweepExecutor, TimedOutCellIsKilledAndRetriedOnce) {
       "[sweep]\n"
       "seeds = 1\n"
       "cell-timeout-s = 0.05\n");
-  const std::string spool = ::testing::TempDir() + "sweep_test_timeout_" +
-                            std::to_string(::getpid());
+  const ScratchPath spool_dir("timeout_spool");
+  const std::string& spool = spool_dir.path;
   const CommandResult result = run_command(std::string(kRunner) +
                                            " --jobs 1 --spool " + spool +
                                            " " + scn + " 2>/dev/null");
@@ -392,13 +415,15 @@ TEST(SweepExecutor, SigtermStopsSchedulerAndReapsWorkers) {
       "messages = 20\n"
       "[sweep]\n"
       "seeds = 1..4\n");
-  const std::string spool = ::testing::TempDir() + "sweep_test_sigterm_" +
-                            std::to_string(::getpid());
+  const ScratchPath spool_dir("sigterm_spool");
+  const ScratchPath out_file("sigterm_out");
+  const ScratchPath err_file("sigterm_err");
+  const std::string& spool = spool_dir.path;
   std::vector<std::string> argv = {kRunner, "--jobs", "2", "--spool", spool,
                                    scn};
   std::string spawn_error;
-  const pid_t scheduler = util::spawn_process(argv, spool + ".out",
-                                              spool + ".err", &spawn_error);
+  const pid_t scheduler = util::spawn_process(argv, out_file.path,
+                                              err_file.path, &spawn_error);
   ASSERT_GT(scheduler, 0) << spawn_error;
 
   // Wait until two workers have started (their pids land in cells.jsonl).
