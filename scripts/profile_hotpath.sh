@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Profile the simulator hot path: with perf when it is installed, otherwise
+# with a SIGPROF frame-pointer stack sampler (callers attributed), otherwise
 # with gprof through a statically linked BRISA_GPROF build, otherwise as a
-# plain timed run.
+# plain timed run — whichever the host has first.
 #
 #   scripts/profile_hotpath.sh [BENCH_FILTER] [-- extra bench args...]
 #   scripts/profile_hotpath.sh --cell
@@ -19,12 +20,20 @@
 #
 # perf: records into perf.data and prints the top symbols; it profiles the
 # binaries in build/ (cmake --build build -j).
+# sampler: configures and builds build-fp/ (Release with
+# -fno-omit-frame-pointer; the first build takes a few minutes), compiles
+# scripts/stack_sampler.cpp into build-fp/stack_sampler.so, runs the target
+# with it preloaded, and prints scripts/stack_report.py's flat profile plus
+# the callers of the hottest functions — including libc routines such as
+# memmove, named from the entry points the sampler resolves. Raw samples
+# stay in build-fp/samples.<pid>.
 # gprof: configures and builds build-gprof/ (Release, -DBRISA_GPROF=ON; the
 # first build takes a few minutes), runs the target there, and prints the
 # flat profile's top lines; the full report is `gprof BINARY gmon.out` in
-# that directory. bench_micro_sim links Google Benchmark dynamically, so
-# its gprof profile leaves libc/libm time unattributed; the brisa_run cell
-# is linked statically and attributes everything.
+# that directory. The brisa_run cell is linked statically, so libc time is
+# counted, but libc is not compiled with -pg: its routines (memmove,
+# malloc) appear in the flat profile without callers. bench_micro_sim
+# links Google Benchmark dynamically and leaves libc/libm time out.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -43,24 +52,43 @@ else
   [ "${1:-}" = "--" ] && shift
 fi
 
-if command -v perf > /dev/null 2>&1; then
+have() { command -v "$1" > /dev/null 2>&1; }
+if have perf; then
   tool=perf
-elif command -v gprof > /dev/null 2>&1; then
+elif [ "$(uname -m)" = x86_64 ] && have c++ && have nm && have python3; then
+  tool=sampler
+elif have gprof; then
   tool=gprof
 else
   tool=none
 fi
 
-if [ "$tool" = gprof ]; then
-  build="$repo/build-gprof"
+target=$([ $cell -eq 1 ] && echo brisa_run || echo bench_micro_sim)
+case "$tool" in
+  gprof)
+    build="$repo/build-gprof"
+    config=(-DBRISA_GPROF=ON)
+    ;;
+  sampler)
+    build="$repo/build-fp"
+    config=(-DCMAKE_CXX_FLAGS=-fno-omit-frame-pointer)
+    ;;
+  *)
+    build="$repo/build"
+    ;;
+esac
+if [ "$tool" = gprof ] || [ "$tool" = sampler ]; then
   if [ ! -f "$build/CMakeCache.txt" ]; then
     cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release \
-      -DBRISA_GPROF=ON -DBUILD_TESTING=OFF > /dev/null
+      "${config[@]}" -DBUILD_TESTING=OFF > /dev/null
   fi
-  target=$([ $cell -eq 1 ] && echo brisa_run || echo bench_micro_sim)
   cmake --build "$build" -j "$(nproc)" --target "$target" > /dev/null
-else
-  build="$repo/build"
+fi
+if [ "$tool" = sampler ]; then
+  sampler_src="$repo/scripts/stack_sampler.cpp"
+  if [ ! "$build/stack_sampler.so" -nt "$sampler_src" ]; then
+    c++ -O2 -shared -fPIC -o "$build/stack_sampler.so" "$sampler_src"
+  fi
 fi
 
 if [ $cell -eq 1 ]; then
@@ -90,6 +118,15 @@ case "$tool" in
     echo
     echo "full report: perf report --input=$build/perf.data"
     ;;
+  sampler)
+    rm -f samples.*
+    BRISA_SAMPLE_OUT="$build/samples" LD_PRELOAD="$build/stack_sampler.so" \
+      "$binary" "${args[@]}"
+    samples=$(ls -S samples.* | grep -v '\.maps$\|\.syms$' | head -1)
+    echo
+    echo "=== stack samples (scripts/stack_report.py) ==="
+    python3 "$repo/scripts/stack_report.py" "$build/$samples"
+    ;;
   gprof)
     rm -f gmon.out
     "$binary" "${args[@]}"
@@ -101,7 +138,7 @@ case "$tool" in
     echo "full report: (cd $build && gprof $binary gmon.out)"
     ;;
   none)
-    echo "neither perf nor gprof found; running the target un-profiled" >&2
+    echo "no profiler available; running the target un-profiled" >&2
     echo "so the numbers are still comparable:" >&2
     exec "$binary" "${args[@]}"
     ;;

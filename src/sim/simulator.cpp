@@ -208,7 +208,10 @@ void Simulator::wheel_schedule_tick(std::uint32_t ci) {
 void Simulator::wheel_retire(std::uint32_t ci) {
   WheelCohort& c = wheel_[ci];
   wheel_index_.erase(c.win);
-  c.members.clear();  // capacity is kept for the freelist's next tenant
+  // Free the storage: an every-node batch can pass through any slot, so
+  // keeping capacity for the next tenant would hold O(slots x largest
+  // batch) instead of O(live members).
+  std::vector<WheelMember>().swap(c.members);
   c.cursor = 0;
   // tick_gen is intentionally NOT reset: it stays monotone across slot
   // reuse so a dead tick can never match a later tenant's live one.
@@ -232,7 +235,8 @@ void Simulator::wheel_arm(std::uint32_t slot, std::uint32_t gen,
     // The window already has a cohort: join it at the member's canonical
     // position. Fires proceed in key order and re-arm one period ahead, so
     // same-period re-arms land in ascending order — the append fast path;
-    // mixed periods occasionally pay a lower_bound insert.
+    // anything else (mixed periods, a batch armed out of lane order) pays a
+    // lower_bound insert that shifts the members after it.
     const std::uint32_t ci = it->second;
     WheelCohort& c = wheel_[ci];
     if (c.members.empty() || member_less(c.members.back(), m)) {
@@ -434,6 +438,9 @@ Simulator::Stats Simulator::stats() const {
   s.events_cancelled = queue_.cancelled_total() + wheel_cancelled_;
   s.pending_events = queue_.size() + wheel_armed_;
   s.event_slab_slots = queue_.slab_capacity();
+  for (const WheelCohort& c : wheel_) {
+    s.wheel_member_slots += c.members.capacity();
+  }
   s.peak_pending_events = queue_.peak_pending() + wheel_armed_peak_;
   s.active_periodics = active_periodics_;
   s.callback_heap_fallbacks =

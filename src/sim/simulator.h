@@ -9,14 +9,14 @@
 // equal-time ties break the same way on every run. See DESIGN.md §6.
 //
 // Periodic timers are slab-allocated and batched into a cohort wheel: each
-// armed occurrence is one 24-byte member of a (period, due) cohort — every
-// host firing the same interval in the same phase shares one cohort, so a
-// million keep-alive timers cost thousands of cohorts instead of a million
-// pending events. Each cohort is represented in the event queue by exactly
+// armed occurrence is one 32-byte member of the cohort for its due window —
+// every timer due in the same window shares one cohort, so a million
+// keep-alive timers cost thousands of cohorts instead of a million pending
+// events. Each cohort is represented in the event queue by exactly
 // ONE tick event, scheduled at the cohort's front-member canonical key;
-// popping the tick fires one member and reschedules (same instant, next
-// member) or cycles the cohort one period forward — one O(log n) operation
-// on a heap that holds a tick per occupied window, not an entry per timer.
+// popping the tick fires one member and re-aims at the next member, or
+// retires the drained cohort — one O(log n) operation on a heap that holds
+// a tick per occupied window, not an entry per timer.
 // Ordering therefore comes from the queue itself, so results stay
 // byte-identical to the queue-resident scheme (DESIGN.md §14).
 // The handle returned by every() is a generation-tagged value — stale
@@ -156,6 +156,10 @@ class Simulator {
     std::uint64_t callback_heap_fallbacks = 0;
     std::size_t pending_events = 0;       ///< gauge
     std::size_t event_slab_slots = 0;     ///< gauge: peak concurrent footprint
+    /// Gauge: member entries the periodic wheel's cohorts hold storage for
+    /// (capacity, not live members; bounded by the live set plus the
+    /// fired prefix of open cohorts).
+    std::size_t wheel_member_slots = 0;
     std::size_t peak_pending_events = 0;
     std::size_t active_periodics = 0;     ///< gauge
 
@@ -194,6 +198,8 @@ class Simulator {
   // exact key; a popped tick fires one member, then reschedules at the next
   // member's key (strictly larger — interleaved queue events run in
   // canonical order by construction) or retires the cohort when drained.
+  // Retirement frees the members, so wheel storage tracks the live set
+  // rather than the largest batch a recycled slot ever held.
   // The pending-event set thus holds one entry per occupied window instead
   // of one per timer, which is what keeps a 100k-host fleet's queue — and
   // its slab — cache-resident. Window width only groups; it can never

@@ -1,11 +1,13 @@
 // Regression tests for the slab-backed event core and the message arena:
 // bounded memory under schedule/cancel churn (the old lazy-tombstone queue
 // grew without bound), generation-tagged handle safety across slot reuse,
-// typed delivery ownership, periodic-timer determinism, and message-pool
-// recycling.
+// typed delivery ownership, periodic-timer determinism, the periodic
+// wheel's fire order and storage bound, and message-pool recycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "net/message.h"
@@ -242,6 +244,261 @@ TEST(EventCore, SimulatorStatsCounters) {
   EXPECT_EQ(stats.events_fired, 1u);
   EXPECT_EQ(stats.pending_events, 1u);
   EXPECT_GE(stats.peak_pending_events, 2u);
+}
+
+// --- Periodic wheel: randomized fire order and storage bound ----------------
+
+/// A seeded workload over the periodic wheel: an every-node batch armed at
+/// one instant on shuffled lanes (every arm after the first lands behind
+/// the cohort's run), staggered timers with mixed periods, gated timers
+/// whose host dies, cancels from outside and from inside callbacks
+/// (including a timer cancelling itself), re-arms, and one-shots aimed at
+/// the same instants as periodic fires. Every fire is logged as
+/// (now, lane, timer id) and checked against the canonical order.
+class WheelScript {
+ public:
+  explicit WheelScript(std::uint64_t seed) : sim_(seed), rng_(seed ^ 0x77) {}
+
+  struct Result {
+    std::uint64_t digest = 0;
+    std::size_t fires = 0;
+    Simulator::Stats stats;
+  };
+
+  Result run() {
+    constexpr std::uint32_t kHosts = 48;
+    alive_.assign(kHosts, 1);
+    // The every-node batch: one 10 ms timer per host, armed at t = 0 in
+    // shuffled host order, plus two on the global lane.
+    std::vector<std::uint32_t> hosts(kHosts);
+    for (std::uint32_t h = 0; h < kHosts; ++h) hosts[h] = h;
+    rng_.shuffle(hosts);
+    for (const std::uint32_t h : hosts) {
+      arm(h + 1, Duration::milliseconds(10), /*gated=*/h % 7 == 3);
+    }
+    arm(0, Duration::milliseconds(10), false);
+    arm(0, Duration::milliseconds(10), false);
+    // Staggered timers with mixed periods, armed from one-shots.
+    for (int i = 0; i < 40; ++i) {
+      const auto lane = static_cast<std::uint32_t>(rng_.uniform(kHosts + 1));
+      const Duration delay = Duration::microseconds(
+          1 + static_cast<std::int64_t>(rng_.uniform(20'000)));
+      const Duration period = random_period();
+      one_shot(lane, delay, [this, lane, period]() {
+        arm(lane, period, false);
+      });
+    }
+    const TimePoint end = TimePoint::origin() + Duration::seconds(2);
+    for (TimePoint t = TimePoint::origin(); t < end;) {
+      t = t + Duration::milliseconds(5);
+      sim_.run_until(t);
+      // Outside the run loop: cancels, re-arms, host deaths.
+      const std::uint64_t dice = rng_.uniform(100);
+      if (dice < 30) {
+        cancel_random();
+      } else if (dice < 55) {
+        arm(static_cast<std::uint32_t>(rng_.uniform(kHosts + 1)),
+            random_period(), rng_.uniform(4) == 0);
+      } else if (dice < 58) {
+        // A host dies: its gated timers retire at their next due instant
+        // without firing.
+        const auto host = static_cast<std::uint32_t>(rng_.uniform(kHosts));
+        alive_[host] = 0;
+        for (Timer& timer : timers_) {
+          if (timer.gated && timer.lane == host + 1) timer.dead = true;
+        }
+      }
+    }
+    // Every live timer fired at start + k * period for k = 1..now.
+    for (const Timer& timer : timers_) {
+      if (timer.dead) continue;
+      const std::int64_t due = (end - timer.start).us() / timer.period.us();
+      EXPECT_EQ(timer.fires, static_cast<std::uint64_t>(due))
+          << "timer " << (&timer - timers_.data());
+      EXPECT_TRUE(sim_.periodic_live(timer.handle));
+    }
+    return {digest_, fires_, sim_.stats()};
+  }
+
+ private:
+  struct Timer {
+    PeriodicId handle;
+    std::uint32_t lane = 0;
+    Duration period;
+    TimePoint start;
+    std::uint64_t fires = 0;
+    bool gated = false;
+    bool dead = false;  ///< cancelled, or gated on a dead host
+  };
+
+  static bool host_alive(const void* ctx, std::uint32_t host) {
+    return static_cast<const WheelScript*>(ctx)->alive_[host] != 0;
+  }
+
+  Duration random_period() {
+    static constexpr std::int64_t kPeriodsUs[] = {1'000, 3'000, 7'000,
+                                                  10'000, 13'000};
+    if (rng_.uniform(3) == 0) {
+      return Duration::microseconds(
+          500 + static_cast<std::int64_t>(rng_.uniform(19'500)));
+    }
+    return Duration::microseconds(kPeriodsUs[rng_.uniform(5)]);
+  }
+
+  void arm(std::uint32_t lane, Duration period, bool gated) {
+    const auto id = static_cast<std::uint32_t>(timers_.size());
+    gated = gated && lane != 0;
+    timers_.push_back(Timer{kInvalidPeriodicId, lane, period, sim_.now(), 0,
+                            gated, gated && alive_[lane - 1] == 0});
+    auto fn = [this, id]() { on_fire(id); };
+    PeriodicId handle;
+    if (lane == 0) {
+      handle = sim_.every(period, fn);
+    } else if (timers_[id].gated) {
+      handle = sim_.every_host_gated(lane - 1, period, &host_alive, this,
+                                     lane - 1, fn);
+    } else {
+      handle = sim_.every_host(lane - 1, period, fn);
+    }
+    timers_[id].handle = handle;
+  }
+
+  template <typename Fn>
+  void one_shot(std::uint32_t lane, Duration delay, Fn fn) {
+    const std::uint32_t id = kOneShotBase + one_shots_++;
+    auto logged = [this, lane, id, fn]() {
+      record(lane, id);
+      fn();
+    };
+    if (lane == 0) {
+      sim_.after(delay, logged);
+    } else {
+      sim_.after_host(lane - 1, delay, logged);
+    }
+  }
+
+  void cancel(std::uint32_t id) {
+    Timer& timer = timers_[id];
+    if (timer.dead) return;
+    timer.dead = true;
+    sim_.cancel_periodic(timer.handle);
+    EXPECT_FALSE(sim_.periodic_live(timer.handle));
+  }
+
+  void cancel_random() {
+    if (!timers_.empty()) {
+      cancel(static_cast<std::uint32_t>(rng_.uniform(timers_.size())));
+    }
+  }
+
+  void on_fire(std::uint32_t id) {
+    {
+      Timer& timer = timers_[id];
+      EXPECT_FALSE(timer.dead) << "cancelled timer " << id << " fired";
+      ++timer.fires;
+      EXPECT_EQ(sim_.now(), timer.start + Duration::microseconds(
+                                              timer.period.us() *
+                                              static_cast<std::int64_t>(
+                                                  timer.fires)))
+          << "timer " << id << " fire " << timer.fires;
+      record(timer.lane, id);
+    }
+    const std::uint64_t dice = rng_.uniform(1000);
+    if (dice < 15) {
+      cancel(id);  // cancels itself from inside its own callback
+    } else if (dice < 35) {
+      cancel_random();
+    } else if (dice < 60) {
+      // A one-shot at the instant of this timer's next fire, on a random
+      // lane: it must interleave by lane with that fire.
+      const auto lane = static_cast<std::uint32_t>(rng_.uniform(49));
+      one_shot(lane, timers_[id].period, [this]() {
+        if (rng_.uniform(3) == 0) cancel_random();
+      });
+    } else if (dice < 75) {
+      const auto lane = static_cast<std::uint32_t>(rng_.uniform(49));
+      const Duration delay = Duration::microseconds(
+          1 + static_cast<std::int64_t>(rng_.uniform(5'000)));
+      const Duration period = random_period();
+      one_shot(lane, delay, [this, lane, period]() {
+        arm(lane, period, false);
+      });
+    }
+  }
+
+  void record(std::uint32_t lane, std::uint32_t id) {
+    const std::tuple<std::int64_t, std::uint32_t> at{sim_.now().us(), lane};
+    EXPECT_LE(last_, at) << "fire out of (time, lane) order, id " << id;
+    last_ = at;
+    for (const std::uint64_t word :
+         {static_cast<std::uint64_t>(sim_.now().us()),
+          static_cast<std::uint64_t>(lane), static_cast<std::uint64_t>(id)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest_ ^= (word >> (8 * byte)) & 0xff;
+        digest_ *= 0x100000001b3ull;  // FNV-1a
+      }
+    }
+    ++fires_;
+  }
+
+  static constexpr std::uint32_t kOneShotBase = 1'000'000;
+
+  Simulator sim_;
+  Rng rng_;
+  std::vector<Timer> timers_;
+  std::vector<std::uint8_t> alive_;
+  std::uint32_t one_shots_ = 0;
+  std::tuple<std::int64_t, std::uint32_t> last_{0, 0};
+  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+  std::size_t fires_ = 0;
+};
+
+// The digest and counters below pin the canonical fire order of the
+// script; any change to how cohorts order, skim or retire members that
+// reorders a fire changes them.
+TEST(PeriodicWheel, RandomizedFireOrderMatchesGolden) {
+  const WheelScript::Result result = WheelScript(2024).run();
+  EXPECT_EQ(result.digest, 0xdcd5013917d06fd1ull);
+  EXPECT_EQ(result.fires, 15979u);
+  EXPECT_EQ(result.stats.events_fired, 15983u);
+  EXPECT_EQ(result.stats.events_scheduled, 16178u);
+  EXPECT_EQ(result.stats.events_cancelled, 147u);
+  EXPECT_EQ(result.stats.pending_events, 48u);
+  EXPECT_EQ(result.stats.peak_pending_events, 123u);
+  EXPECT_EQ(result.stats.event_slab_slots, 46u);
+  EXPECT_EQ(result.stats.active_periodics, 46u);
+}
+
+TEST(PeriodicWheel, StorageTracksLiveTimers) {
+  // An every-node batch (1,000 timers due at one instant) plus 200
+  // staggered timers with mixed periods, over 300 batch periods. Retired
+  // cohorts must not keep their storage for the next tenant, or the
+  // batch's capacity spreads through every recycled cohort slot.
+  Simulator simulator(5);
+  Rng rng(9);
+  const Duration period = Duration::milliseconds(10);
+  for (std::uint32_t h = 0; h < 1'000; ++h) {
+    simulator.every_host(h, period, []() {});
+  }
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const Duration offset = Duration::microseconds(
+        1 + static_cast<std::int64_t>(rng.uniform(10'000)));
+    const Duration own = Duration::microseconds(
+        2'000 + static_cast<std::int64_t>(rng.uniform(18'000)));
+    simulator.after(offset, [&simulator, i, own]() {
+      simulator.every_host(1'000 + i, own, []() {});
+    });
+  }
+  std::size_t peak_slots = 0;
+  for (int step = 1; step <= 300; ++step) {
+    simulator.run_until(TimePoint::origin() + period * step +
+                        Duration::microseconds(step * 37 % 10'000));
+    const Simulator::Stats stats = simulator.stats();
+    ASSERT_EQ(stats.active_periodics, 1'200u);
+    peak_slots = std::max(peak_slots, stats.wheel_member_slots);
+  }
+  EXPECT_GE(peak_slots, 1'000u);  // the batch is actually held
+  EXPECT_LE(peak_slots, 3u * 1'200u);
 }
 
 TEST(EventCore, LargeClosuresFallBackToHeapAndStillRun) {

@@ -1,8 +1,9 @@
 // Randomized differential tests for the flat hot-path containers:
 // util::SmallVec against std::vector, util::FlatMap against std::map,
-// util::FlatSet against std::set, and util::SeqSet against std::set — same
-// operation stream, element-identical state and iteration order after every
-// step. Iteration-order equality is the load-bearing property: the repo's
+// util::FlatSet against std::set, util::SeqSet against std::set and
+// util::FlatSeqMap against std::map — same operation stream,
+// element-identical state and iteration order after every step.
+// Iteration-order equality is the load-bearing property: the repo's
 // determinism contract (same seed => byte-identical experiment output)
 // survives the std::map -> FlatMap migration only because ascending-key
 // iteration is preserved exactly.
@@ -356,6 +357,125 @@ TEST(SeqSet, ContiguousWalkMatchesProtocolUse) {
   EXPECT_EQ(upto, 6u);
   EXPECT_EQ(seen.max(), 7u);
   EXPECT_EQ(seen.size(), 7u);
+}
+
+// --- FlatSeqMap vs std::map ----------------------------------------------------
+
+/// Element-identical state, walked both ways: forward from begin() and
+/// backward from end() over the holes, plus find/contains per key.
+void expect_same_seq_map(const util::FlatSeqMap<int>& flat,
+                         const std::map<std::uint64_t, int>& ref,
+                         std::uint64_t key_space) {
+  ASSERT_EQ(flat.size(), ref.size());
+  ASSERT_EQ(flat.empty(), ref.empty());
+  auto fit = flat.begin();
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(fit, flat.end());
+    EXPECT_EQ(fit->first, key);
+    EXPECT_EQ(fit->second, value);
+    ++fit;
+  }
+  EXPECT_EQ(fit, flat.end());
+  auto bit = flat.end();
+  for (auto rit = ref.rbegin(); rit != ref.rend(); ++rit) {
+    --bit;
+    EXPECT_EQ((*bit).first, rit->first);
+    EXPECT_EQ((*bit).second, rit->second);
+  }
+  EXPECT_EQ(bit, flat.begin());
+  for (std::uint64_t key = 0; key <= key_space; ++key) {
+    const auto found = flat.find(key);
+    const auto expected = ref.find(key);
+    ASSERT_EQ(found == flat.end(), expected == ref.end()) << "key " << key;
+    EXPECT_EQ(flat.count(key), ref.count(key));
+    if (expected != ref.end()) {
+      EXPECT_EQ(found->second, expected->second);
+    }
+  }
+}
+
+TEST(FlatSeqMap, DifferentialAgainstStdMap) {
+  sim::Rng rng(0xf1a7);
+  for (int round = 0; round < 12; ++round) {
+    // Key spaces straddling 64-bit word boundaries.
+    const std::uint64_t key_space = 1 + rng.uniform(300);
+    util::FlatSeqMap<int> flat;
+    std::map<std::uint64_t, int> ref;
+    for (int op = 0; op < 1'500; ++op) {
+      const std::uint64_t key = rng.uniform(key_space);
+      const std::uint64_t dice = rng.uniform(100);
+      if (dice < 45) {
+        const int v = static_cast<int>(rng.uniform(1'000));
+        flat[key] = v;
+        ref[key] = v;
+      } else if (dice < 60) {
+        // operator[] on a missing key default-constructs, like std::map;
+        // after an erase it must see a fresh value, not the old one.
+        EXPECT_EQ(flat[key], ref[key]);
+        flat[key] += 1;
+        ref[key] += 1;
+      } else if (dice < 85) {
+        EXPECT_EQ(flat.erase(key), ref.erase(key));
+      } else {
+        const auto fit = flat.lower_bound(key);
+        const auto rit = ref.lower_bound(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end()) << "probe " << key;
+        if (rit != ref.end()) {
+          EXPECT_EQ(fit->first, rit->first);
+          EXPECT_EQ(fit->second, rit->second);
+        }
+      }
+      if (op % 100 == 99) expect_same_seq_map(flat, ref, key_space);
+    }
+    expect_same_seq_map(flat, ref, key_space);
+    // Probes past the highest key ever touched.
+    EXPECT_EQ(flat.lower_bound(key_space + 1000), flat.end());
+    EXPECT_EQ(flat.find(key_space + 1000), flat.end());
+  }
+}
+
+TEST(FlatSeqMap, EqualityComparesEntriesNotHistory) {
+  util::FlatSeqMap<int> a;
+  util::FlatSeqMap<int> b;
+  EXPECT_TRUE(a == b);
+  a[3] = 1;
+  EXPECT_FALSE(a == b);
+  b[3] = 1;
+  EXPECT_TRUE(a == b);
+  // Same entries, different touched lengths: still equal, as std::map.
+  a[200] = 5;
+  a.erase(200);
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(b == a);
+  b[64] = 2;
+  EXPECT_FALSE(a == b);
+  a[64] = 3;
+  EXPECT_FALSE(a == b);  // same keys, different value
+  a[64] = 2;
+  EXPECT_TRUE(a == b);
+  // Randomized: equality agrees with std::map equality.
+  sim::Rng rng(0xe0);
+  for (int round = 0; round < 200; ++round) {
+    util::FlatSeqMap<int> x;
+    util::FlatSeqMap<int> y;
+    std::map<std::uint64_t, int> rx;
+    std::map<std::uint64_t, int> ry;
+    for (int op = 0; op < 6; ++op) {
+      const std::uint64_t key = rng.uniform(130);
+      const int v = static_cast<int>(rng.uniform(2));
+      x[key] = v;
+      rx[key] = v;
+      if (rng.uniform(4) != 0) {
+        y[key] = v;
+        ry[key] = v;
+      }
+      if (rng.uniform(5) == 0) {
+        EXPECT_EQ(x.erase(key), rx.erase(key));
+      }
+    }
+    EXPECT_EQ(x == y, rx == ry) << "round " << round;
+    EXPECT_EQ(y == x, ry == rx) << "round " << round;
+  }
 }
 
 // --- FlatSeqMap additions ----------------------------------------------------
