@@ -14,10 +14,9 @@
 // [sweep] section expands into a grid of cells; the executor forks one
 // worker subprocess per cell (`--jobs` at a time) and merges their output
 // in grid order, so stdout is byte-identical for any job count. `--cell`
-// is the internal worker mode (strip [sweep], run one configuration). The
-// same report functions back the legacy bench_* binaries, so a checked-in
-// scenario and its bench command are byte-identical. Grammar:
-// docs/scenarios.md.
+// is the internal worker mode (strip [sweep], run one configuration). Every
+// report runs one configuration, so a multi-cell experiment is always a
+// [sweep] grid. Grammar: docs/scenarios.md.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "reports/reports.h"
-#include "util/flags.h"
 #include "util/subprocess.h"
 #include "workload/scenario.h"
 #include "workload/sweep.h"

@@ -14,9 +14,9 @@
 #   scripts/profile_hotpath.sh --cell                  # 10k faulted BRISA cell
 #
 # Without --cell the target is bench_micro_sim; with --cell it is the
-# end-to-end brisa_run of the 10k-node faulted BRISA cell of
-# scenarios/scale_sweep.scn (13.9M events; the cell perfbench's upkeep_10k
-# workload reproduces).
+# end-to-end brisa_run of scenarios/scale_sweep.scn, whose default cell is
+# the 10k-node faulted BRISA broadcast (13.9M events; the cell perfbench's
+# upkeep_10k workload reproduces).
 #
 # perf: records into perf.data and prints the top symbols; it profiles the
 # binaries in build/ (cmake --build build -j).
@@ -93,8 +93,7 @@ fi
 
 if [ $cell -eq 1 ]; then
   binary="$build/brisa_run"
-  args=(--set params.sizes=10000 --set params.protocols=brisa
-        --set params.variants=faulted "$repo/scenarios/scale_sweep.scn")
+  args=("$repo/scenarios/scale_sweep.scn")
   build_hint="cmake --build build -j --target brisa_run"
 else
   binary="$build/bench_micro_sim"

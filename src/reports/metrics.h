@@ -1,7 +1,6 @@
 // Shared metric-extraction helpers for the report implementations and the
-// bench/example harnesses: delivery rows, CDFs, bandwidth and percentile
-// rows in the units the paper reports. (Formerly bench/common.h; moved into
-// the library so the scenario-driven reports can reuse them.)
+// examples: delivery rows, CDFs, bandwidth and percentile rows in the units
+// the paper reports.
 #pragma once
 
 #include <cstdio>
@@ -10,38 +9,11 @@
 
 #include "analysis/stats.h"
 #include "analysis/stream_report.h"
-#include "util/flags.h"
 #include "workload/baseline_systems.h"
 #include "workload/brisa_system.h"
 #include "workload/pubsub.h"
 
 namespace brisa::reports {
-
-// --- Multi-stream options ----------------------------------------------------
-
-/// The multi-stream CLI surface every bench/example parses identically:
-/// `--streams=K` concurrent topics and `--subscription-fraction=F` partial
-/// audiences (see workload::PubSubDriver).
-struct MultiStreamOptions {
-  std::size_t streams = 1;
-  double subscription_fraction = 1.0;
-};
-
-inline MultiStreamOptions parse_multi_stream_options(
-    const util::Flags& flags) {
-  MultiStreamOptions options;
-  options.streams =
-      static_cast<std::size_t>(flags.get_int("streams", 1));
-  options.subscription_fraction =
-      flags.get_fraction("subscription-fraction", 1.0);
-  return options;
-}
-
-/// The flag names parse_multi_stream_options consumes — callers append
-/// these to their known-flag list for util::Flags::validate.
-inline std::vector<std::string> multi_stream_flag_names() {
-  return {"streams", "subscription-fraction"};
-}
 
 /// Per-stream delivery rows from a finished system + PubSubDriver run, for
 /// any harness: `stats_of(id, stream)` returns a per-stream Stats with

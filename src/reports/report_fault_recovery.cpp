@@ -2,20 +2,20 @@
 // message loss and partitions — BRISA vs the epidemic-flood (SimpleGossip)
 // and static-tree (SimpleTree) baselines.
 //
-// Scenarios:
-//   * loss sweep: uniform per-link drop probability over the whole stream
+// One cell runs one protocol under one regime
+// (scenarios/fault_recovery_grid.scn sweeps all of them):
+//   * loss: uniform per-link drop probability over the whole stream
 //     (0/5/10/20%). BRISA and the tree ride TCP-like connections, so loss
 //     shows up as retransmission delay; the gossip flood's datagrams really
 //     drop and must be repaired by anti-entropy.
-//   * partition sweep: two node groups cut from each other mid-stream for
+//   * partition: two node groups cut from each other mid-stream for
 //     10 s / 30 s while the rest of the overlay stays connected; measures
 //     whether delivery reroutes around the cut and catches up after heal.
 //
-// Prints a table plus one JSON record per (protocol, scenario) row; a
-// recorded run lives in BENCH_fault_recovery.json at the repo root.
+// Prints a one-row table plus its JSON record; a recorded grid lives in
+// BENCH_fault_recovery.json at the repo root.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -39,14 +39,18 @@ struct ScenarioResult {
   std::uint64_t blackholed = 0;
 };
 
-/// Streams `messages` through a bootstrapped system under `plan` and
-/// extracts reliability + latency percentiles. `times_of(id)` returns the
-/// node's seq -> delivery-time map; `source` anchors the latency deltas.
+/// The one cell runner: bootstraps a system, streams `messages` through it
+/// under `plan` and extracts reliability + latency percentiles. Only the
+/// config and `times_of(system, id)`, the node's seq -> delivery-time map,
+/// differ per protocol; the source anchors the latency deltas.
 template <typename System, typename TimesOf>
-ScenarioResult measure(System& system, const char* protocol,
-                       const std::string& scenario, const net::FaultPlan& plan,
-                       net::NodeId source, TimesOf times_of,
-                       std::size_t messages) {
+ScenarioResult run_cell(const typename System::Config& config,
+                        const char* protocol, std::size_t messages,
+                        const std::string& scenario,
+                        const net::FaultPlan& plan, TimesOf times_of) {
+  System system(config);
+  system.bootstrap();
+  const net::NodeId source = system.source_id();
   if (!plan.empty()) {
     system.install_fault_plan(plan.shifted(system.simulator().now() -
                                            sim::TimePoint::origin()));
@@ -56,14 +60,14 @@ ScenarioResult measure(System& system, const char* protocol,
   ScenarioResult result;
   result.protocol = protocol;
   result.scenario = scenario;
-  const auto& source_times = times_of(source);
+  const auto& source_times = times_of(system, source);
   std::vector<double> delays_ms;
   std::uint64_t delivered = 0;
   std::size_t members = 0;
   for (const net::NodeId id : system.all_ids()) {
     if (!system.network().alive(id) || id == source) continue;
     ++members;
-    const auto& times = times_of(id);
+    const auto& times = times_of(system, id);
     delivered += times.size();
     for (const auto& [seq, at] : times) {
       const auto it = source_times.find(seq);
@@ -110,58 +114,6 @@ net::FaultPlan partition_plan(std::size_t nodes, std::int64_t duration_s) {
   return plan;
 }
 
-ScenarioResult run_brisa(std::uint64_t seed, std::size_t nodes,
-                         std::size_t messages, const std::string& scenario,
-                         const net::FaultPlan& plan) {
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(25);
-  workload::BrisaSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "brisa", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.brisa(id).stats().delivery_time;
-      },
-      messages);
-}
-
-ScenarioResult run_gossip(std::uint64_t seed, std::size_t nodes,
-                          std::size_t messages, const std::string& scenario,
-                          const net::FaultPlan& plan) {
-  workload::SimpleGossipSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  workload::SimpleGossipSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "gossip-flood", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      messages);
-}
-
-ScenarioResult run_tree(std::uint64_t seed, std::size_t nodes,
-                        std::size_t messages, const std::string& scenario,
-                        const net::FaultPlan& plan) {
-  workload::SimpleTreeSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  workload::SimpleTreeSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "simple-tree", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      messages);
-}
-
 void print_json(const ScenarioResult& r, std::size_t nodes,
                 std::size_t messages, std::uint64_t seed) {
   std::printf(
@@ -183,9 +135,11 @@ workload::Scenario fault_recovery_defaults() {
   workload::Scenario s;
   s.set("scenario", "name", "fault_recovery")
       .set("scenario", "report", "fault_recovery")
+      .set("scenario", "protocol", "brisa")
       .set("scenario", "nodes", "96")
       .set("scenario", "seed", "1")
-      .set("streams", "messages", "60");
+      .set("streams", "messages", "60")
+      .set("params", "regime", "loss_0");
   return s;
 }
 
@@ -193,86 +147,91 @@ int fault_recovery_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(96);
   const std::size_t messages = scenario.messages_or(60);
   const std::uint64_t seed = scenario.seed_or(1);
-  // --protocols / --regimes narrow the grid (the sweep executor's per-cell
-  // form); the defaults reproduce the full classic report byte for byte.
-  const std::string protocols =
-      scenario.param_string("protocols", "brisa,gossip,tree");
-  const std::string regimes = scenario.param_string(
-      "regimes",
-      "loss_0,loss_5,loss_10,loss_20,partition_10s,partition_30s");
-  const auto wants = [&protocols](const char* name) {
-    return protocols.find(name) != std::string::npos;
+  const std::string protocol = scenario.protocol_or("brisa");
+  // The regime is `loss_<percent>` or `partition_<seconds>s`; a malformed
+  // one is an error, not a silent default.
+  const std::string regime = scenario.param_string("regime", "loss_0");
+  const auto number = [](const std::string& digits) -> std::int64_t {
+    if (digits.empty() || digits.size() > 6 ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      return -1;
+    }
+    return std::stoll(digits);
   };
+  std::int64_t value = -1;
+  net::FaultPlan plan;
+  if (regime.rfind("loss_", 0) == 0) {
+    value = number(regime.substr(5));
+    if (value > 100) value = -1;
+    if (value >= 0) plan = loss_plan(static_cast<double>(value) / 100.0);
+  } else if (regime.rfind("partition_", 0) == 0 && regime.back() == 's') {
+    value = number(regime.substr(10, regime.size() - 11));
+    if (value >= 0) plan = partition_plan(nodes, value);
+  }
+  if (value < 0) {
+    std::fprintf(stderr,
+                 "error: unknown regime '%s' (expected loss_<percent> or "
+                 "partition_<seconds>s)\n",
+                 regime.c_str());
+    return 2;
+  }
 
   std::printf(
       "=== fault recovery: reliability & latency vs loss / partitions, "
       "%zu nodes ===\n",
       nodes);
+  std::fprintf(stderr, "running %s/%s...\n", regime.c_str(),
+               protocol.c_str());
 
-  std::vector<ScenarioResult> results;
-  const auto run_all = [&](const std::string& scenario_name,
-                           const net::FaultPlan& plan) {
-    if (wants("brisa")) {
-      std::fprintf(stderr, "running %s/brisa...\n", scenario_name.c_str());
-      results.push_back(
-          run_brisa(seed, nodes, messages, scenario_name, plan));
-    }
-    if (wants("gossip")) {
-      std::fprintf(stderr, "running %s/gossip-flood...\n",
-                   scenario_name.c_str());
-      results.push_back(
-          run_gossip(seed, nodes, messages, scenario_name, plan));
-    }
-    if (wants("tree")) {
-      std::fprintf(stderr, "running %s/simple-tree...\n",
-                   scenario_name.c_str());
-      results.push_back(
-          run_tree(seed, nodes, messages, scenario_name, plan));
-    }
-  };
-  // Each regime token is `loss_<percent>` or `partition_<seconds>s`.
-  std::string token;
-  for (const char c : regimes + ",") {
-    if (c != ',') {
-      if (c != ' ' && c != '\t') token.push_back(c);
-      continue;
-    }
-    if (token.empty()) continue;
-    if (token.rfind("loss_", 0) == 0) {
-      const int percent = std::atoi(token.c_str() + 5);
-      run_all("loss_" + std::to_string(percent),
-              loss_plan(static_cast<double>(percent) / 100.0));
-    } else if (token.rfind("partition_", 0) == 0 && token.back() == 's') {
-      const auto duration_s =
-          static_cast<std::int64_t>(std::atoll(token.c_str() + 10));
-      run_all("partition_" + std::to_string(duration_s) + "s",
-              partition_plan(nodes, duration_s));
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown regime '%s' (expected loss_<percent> or "
-                   "partition_<seconds>s)\n",
-                   token.c_str());
-      return 2;
-    }
-    token.clear();
+  ScenarioResult r;
+  if (protocol == "brisa") {
+    workload::BrisaSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = sim::Duration::seconds(20);
+    config.stabilization = sim::Duration::seconds(25);
+    r = run_cell<workload::BrisaSystem>(
+        config, "brisa", messages, regime, plan,
+        [](workload::BrisaSystem& system, net::NodeId id) -> const auto& {
+          return system.brisa(id).stats().delivery_time;
+        });
+  } else if (protocol == "gossip") {
+    workload::SimpleGossipSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = sim::Duration::seconds(20);
+    r = run_cell<workload::SimpleGossipSystem>(
+        config, "gossip-flood", messages, regime, plan,
+        [](workload::SimpleGossipSystem& system, net::NodeId id)
+            -> const auto& { return system.node(id).stats().delivery_time; });
+  } else if (protocol == "tree") {
+    workload::SimpleTreeSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = sim::Duration::seconds(20);
+    r = run_cell<workload::SimpleTreeSystem>(
+        config, "simple-tree", messages, regime, plan,
+        [](workload::SimpleTreeSystem& system, net::NodeId id)
+            -> const auto& { return system.node(id).stats().delivery_time; });
+  } else {
+    std::fprintf(stderr,
+                 "error: fault_recovery runs brisa, gossip or tree, not "
+                 "'%s'\n",
+                 protocol.c_str());
+    return 2;
   }
 
   analysis::Table table({"scenario", "protocol", "reliability", "p50(ms)",
                          "p99(ms)", "retransmits", "dropped", "blackholed"});
-  for (const ScenarioResult& r : results) {
-    table.add_row({r.scenario, r.protocol,
-                   analysis::Table::num(r.reliability * 100.0, 2) + "%",
-                   analysis::Table::num(r.p50_ms, 1),
-                   analysis::Table::num(r.p99_ms, 1),
-                   std::to_string(r.retransmissions),
-                   std::to_string(r.datagrams_dropped),
-                   std::to_string(r.blackholed)});
-  }
+  table.add_row({r.scenario, r.protocol,
+                 analysis::Table::num(r.reliability * 100.0, 2) + "%",
+                 analysis::Table::num(r.p50_ms, 1),
+                 analysis::Table::num(r.p99_ms, 1),
+                 std::to_string(r.retransmissions),
+                 std::to_string(r.datagrams_dropped),
+                 std::to_string(r.blackholed)});
   std::printf("%s\n", table.render().c_str());
-
-  for (const ScenarioResult& r : results) {
-    print_json(r, nodes, messages, seed);
-  }
+  print_json(r, nodes, messages, seed);
   std::printf(
       "paper check: BRISA stays at (or near) 100%% delivery under loss and "
       "heals partitions; the flood pays duplicates, the static tree stalls\n");

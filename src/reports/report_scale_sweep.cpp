@@ -1,20 +1,18 @@
-// Scale sweep: one broadcast stream per protocol at 1k -> 100k nodes, with
-// and without a fault plan, validating the paper's headline claim at sweep
-// scale — per-node dissemination cost (and reliability) stays flat while the
-// system grows two orders of magnitude.
+// Scale sweep cell: one broadcast stream of one protocol at one width, with
+// or without a fault plan. scenarios/scale_grid.scn sweeps it over 1k ->
+// 100k nodes and the four protocols, validating the paper's headline claim
+// at scale — per-node dissemination cost (and reliability) stays flat while
+// the system grows two orders of magnitude. The default cell is the 10k
+// faulted BRISA run that perfbench's upkeep_10k workload reproduces.
 //
-// Per (protocol, size, fault) configuration it prints one human row and one
-// JSON line; a recorded run lives in BENCH_scale.json at the repo root.
-// Exits non-zero when a clean (un-faulted) BRISA run misses 100% reliability
-// at any width.
-//
-// Baselines above --baseline-cap are skipped loudly (TAG's per-hop join
-// traversal and SimpleTree's central coordinator make them both unrealistic
-// and uninformative at 100k); BRISA itself always runs every width.
+// Prints one human row and one JSON line; recorded grids live in
+// BENCH_scale.json at the repo root. A clean (un-faulted) BRISA cell exits
+// non-zero when it misses 100% reliability.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/stats.h"
@@ -80,175 +78,71 @@ void fill_delivery_metrics(const std::vector<net::NodeId>& ids,
       delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 99);
 }
 
-template <typename System>
-void finish_run(System& system, bool faulted,
-                const std::chrono::steady_clock::time_point wall_start,
-                RunResult* result) {
-  result->faulted = faulted;
-  result->complete = system.complete_delivery();
-  result->events_fired = system.simulator().events_fired();
-  result->messages_sent = system.network().messages_sent();
-  result->wall_seconds =
+/// The one cell runner: bootstrap, optionally arm the fault plan, stream,
+/// measure. Only the config and the per-node delivery-time accessor differ
+/// per protocol.
+template <typename System, typename TimesOf>
+RunResult run_cell(const std::string& protocol,
+                   const typename System::Config& config,
+                   std::size_t messages, double rate, std::size_t payload,
+                   sim::Duration grace, bool faulted, TimesOf times_of) {
+  constexpr bool kTree = std::is_same_v<System, workload::SimpleTreeSystem>;
+  const auto wall_start = std::chrono::steady_clock::now();
+  System system(config);
+  system.bootstrap();
+  // Bootstrap churns far more pending events than steady state (joins,
+  // per-host arming); release the slack before the measured stream.
+  system.simulator().shrink();
+  workload::ChurnHooks hooks;
+  if constexpr (kTree) {
+    // SimpleTree has no spawn/kill API, but the fault plan only uses
+    // drop/crash/stop, which the fault hooks cover: the interesting number
+    // is how much a repair-less tree loses under the same faults
+    // (§III-D b).
+    hooks.spawn = [] {};
+    hooks.kill = [](net::NodeId) {};
+    hooks.population = [&system] {
+      std::vector<net::NodeId> alive;
+      for (const net::NodeId id : system.all_ids()) {
+        if (system.network().alive(id)) alive.push_back(id);
+      }
+      return alive;
+    };
+    system.fill_fault_hooks(hooks);
+  } else {
+    hooks = system.churn_hooks();
+  }
+  workload::ChurnDriver driver(
+      system.simulator(),
+      workload::ChurnScript::parse(fault_script(config.num_nodes)), hooks);
+  if (faulted) driver.arm();
+  system.run_stream(messages, rate, payload, grace);
+
+  RunResult result;
+  result.protocol = protocol;
+  result.nodes = config.num_nodes;
+  result.faulted = faulted;
+  std::vector<net::NodeId> ids;
+  if constexpr (kTree) {
+    ids = system.all_ids();
+  } else {
+    ids = system.member_ids();
+  }
+  fill_delivery_metrics(
+      ids, system.source_id(), system.messages_sent(),
+      [&](net::NodeId id) -> const auto& { return times_of(system, id); },
+      &result);
+  result.complete = system.complete_delivery();
+  result.events_fired = system.simulator().events_fired();
+  result.messages_sent = system.network().messages_sent();
+  result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  result->events_per_second =
-      result->wall_seconds > 0.0
-          ? static_cast<double>(result->events_fired) / result->wall_seconds
+  result.events_per_second =
+      result.wall_seconds > 0.0
+          ? static_cast<double>(result.events_fired) / result.wall_seconds
           : 0.0;
-}
-
-RunResult run_brisa(std::uint64_t seed, std::size_t nodes,
-                    std::size_t messages, double rate, std::size_t payload,
-                    bool faulted) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(25);
-  workload::BrisaSystem system(config);
-  system.bootstrap();
-  // Bootstrap churns far more pending events than steady state (joins,
-  // per-host arming); release the slack so back-to-back sweep cells do not
-  // stack each other's peak footprint.
-  system.simulator().shrink();
-  workload::ChurnDriver driver(
-      system.simulator(),
-      workload::ChurnScript::parse(fault_script(nodes)),
-      system.churn_hooks());
-  if (faulted) driver.arm();
-  system.run_stream(messages, rate, payload, sim::Duration::seconds(20));
-
-  RunResult result;
-  result.protocol = "brisa";
-  result.nodes = nodes;
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.brisa(id).stats().delivery_time;
-      },
-      &result);
-  finish_run(system, faulted, wall_start, &result);
-  return result;
-}
-
-RunResult run_gossip(std::uint64_t seed, std::size_t nodes,
-                     std::size_t messages, double rate, std::size_t payload,
-                     bool faulted) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::SimpleGossipSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.fanout = workload::gossip_fanout_for(nodes);
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(10);
-  workload::SimpleGossipSystem system(config);
-  system.bootstrap();
-  // Bootstrap churns far more pending events than steady state (joins,
-  // per-host arming); release the slack so back-to-back sweep cells do not
-  // stack each other's peak footprint.
-  system.simulator().shrink();
-  workload::ChurnDriver driver(
-      system.simulator(),
-      workload::ChurnScript::parse(fault_script(nodes)),
-      system.churn_hooks());
-  if (faulted) driver.arm();
-  system.run_stream(messages, rate, payload, sim::Duration::seconds(20));
-
-  RunResult result;
-  result.protocol = "gossip";
-  result.nodes = nodes;
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  finish_run(system, faulted, wall_start, &result);
-  return result;
-}
-
-RunResult run_tree(std::uint64_t seed, std::size_t nodes,
-                   std::size_t messages, double rate, std::size_t payload,
-                   bool faulted) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::SimpleTreeSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(10);
-  workload::SimpleTreeSystem system(config);
-  system.bootstrap();
-  // Bootstrap churns far more pending events than steady state (joins,
-  // per-host arming); release the slack so back-to-back sweep cells do not
-  // stack each other's peak footprint.
-  system.simulator().shrink();
-  // SimpleTree has no spawn/kill API, but the sweep's fault plan only uses
-  // drop/crash/stop, which the fault hooks cover: the interesting number is
-  // how much a repair-less tree loses under the same faults (§III-D b).
-  workload::ChurnHooks hooks;
-  hooks.spawn = [] {};
-  hooks.kill = [](net::NodeId) {};
-  hooks.population = [&system] {
-    std::vector<net::NodeId> alive;
-    for (const net::NodeId id : system.all_ids()) {
-      if (system.network().alive(id)) alive.push_back(id);
-    }
-    return alive;
-  };
-  system.fill_fault_hooks(hooks);
-  workload::ChurnDriver driver(
-      system.simulator(), workload::ChurnScript::parse(fault_script(nodes)),
-      hooks);
-  if (faulted) driver.arm();
-  system.run_stream(messages, rate, payload, sim::Duration::seconds(20));
-
-  RunResult result;
-  result.protocol = "tree";
-  result.nodes = nodes;
-  std::vector<net::NodeId> ids = system.all_ids();
-  fill_delivery_metrics(
-      ids, system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  finish_run(system, faulted, wall_start, &result);
-  return result;
-}
-
-RunResult run_tag(std::uint64_t seed, std::size_t nodes, std::size_t messages,
-                  double rate, std::size_t payload, bool faulted) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::TagSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(20);
-  workload::TagSystem system(config);
-  system.bootstrap();
-  // Bootstrap churns far more pending events than steady state (joins,
-  // per-host arming); release the slack so back-to-back sweep cells do not
-  // stack each other's peak footprint.
-  system.simulator().shrink();
-  workload::ChurnDriver driver(
-      system.simulator(),
-      workload::ChurnScript::parse(fault_script(nodes)),
-      system.churn_hooks());
-  if (faulted) driver.arm();
-  system.run_stream(messages, rate, payload, sim::Duration::seconds(30));
-
-  RunResult result;
-  result.protocol = "tag";
-  result.nodes = nodes;
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  finish_run(system, faulted, wall_start, &result);
   return result;
 }
 
@@ -283,131 +177,100 @@ void print_json(const RunResult& r, std::size_t messages, std::uint64_t seed) {
 
 workload::Scenario scale_sweep_defaults() {
   workload::Scenario s;
-  // sizes / protocols / messages stay unset: their defaults depend on
-  // --quick and are resolved inside scale_sweep_run.
   s.set("scenario", "name", "scale_sweep")
       .set("scenario", "report", "scale_sweep")
+      .set("scenario", "protocol", "brisa")
+      .set("scenario", "nodes", "10000")
       .set("scenario", "seed", "1")
+      .set("streams", "messages", "20")
       .set("streams", "rate-per-s", "5")
       .set("streams", "payload", "256")
-      .set("params", "baseline-cap", "10000");
+      .set("params", "variant", "faulted");
   return s;
 }
 
 int scale_sweep_run(const workload::Scenario& scenario) {
-  const bool quick = scenario.param_bool("quick", false);
-  const std::vector<std::int64_t> sizes = scenario.param_int_list(
-      "sizes", quick ? std::vector<std::int64_t>{10'000}
-                     : std::vector<std::int64_t>{1'000, 10'000, 100'000});
-  const std::string protocols = scenario.param_string(
-      "protocols", quick ? "brisa" : "brisa,gossip,tree,tag");
-  const auto baseline_cap =
-      static_cast<std::size_t>(scenario.param_int("baseline-cap", 10'000));
-  const std::size_t messages = scenario.messages_or(quick ? 10 : 20);
+  const std::string protocol = scenario.protocol_or("brisa");
+  const std::size_t nodes = scenario.nodes_or(10'000);
+  const std::size_t messages = scenario.messages_or(20);
   const double rate = scenario.rate_or(5.0);
   const std::size_t payload = scenario.payload_or(256);
   const std::uint64_t seed = scenario.seed_or(1);
-  const bool fault_variant = scenario.param_bool("fault-variant", true);
-  // --variants names the fault variants to run explicitly (the sweep grid's
-  // per-cell form); it defaults to what --fault-variant implies.
-  const std::string variants = scenario.param_string(
-      "variants", fault_variant ? "clean,faulted" : "clean");
-
-  const auto wants = [&protocols](const char* name) {
-    return protocols.find(name) != std::string::npos;
-  };
-  const auto wants_variant = [&variants](const char* name) {
-    return variants.find(name) != std::string::npos;
-  };
-
-  std::vector<RunResult> results;
-  for (const std::int64_t size : sizes) {
-    const auto nodes = static_cast<std::size_t>(size);
-    const bool baseline_size = nodes <= baseline_cap;
-    for (const bool faulted : {false, true}) {
-      if (!wants_variant(faulted ? "faulted" : "clean")) continue;
-      if (wants("brisa")) {
-        std::fprintf(stderr, "running brisa %zu %s...\n", nodes,
-                     faulted ? "faulted" : "clean");
-        results.push_back(
-            run_brisa(seed, nodes, messages, rate, payload, faulted));
-        print_row(results.back());
-      }
-      if (wants("gossip")) {
-        if (!baseline_size) {
-          std::printf("gossip  %8zu nodes: skipped (above --baseline-cap "
-                      "%zu)\n", nodes, baseline_cap);
-        } else {
-          std::fprintf(stderr, "running gossip %zu %s...\n", nodes,
-                       faulted ? "faulted" : "clean");
-          results.push_back(
-              run_gossip(seed, nodes, messages, rate, payload, faulted));
-          print_row(results.back());
-        }
-      }
-      if (wants("tree")) {
-        if (!baseline_size) {
-          std::printf("tree    %8zu nodes: skipped (above --baseline-cap "
-                      "%zu)\n", nodes, baseline_cap);
-        } else {
-          std::fprintf(stderr, "running tree %zu %s...\n", nodes,
-                       faulted ? "faulted" : "clean");
-          results.push_back(
-              run_tree(seed, nodes, messages, rate, payload, faulted));
-          print_row(results.back());
-        }
-      }
-      if (wants("tag")) {
-        if (!baseline_size) {
-          std::printf("tag     %8zu nodes: skipped (above --baseline-cap "
-                      "%zu)\n", nodes, baseline_cap);
-        } else {
-          std::fprintf(stderr, "running tag %zu %s...\n", nodes,
-                       faulted ? "faulted" : "clean");
-          results.push_back(
-              run_tag(seed, nodes, messages, rate, payload, faulted));
-          print_row(results.back());
-        }
-      }
-    }
+  const std::string variant = scenario.param_string("variant", "faulted");
+  if (variant != "clean" && variant != "faulted") {
+    std::fprintf(stderr,
+                 "error: params.variant must be clean or faulted, got '%s'\n",
+                 variant.c_str());
+    return 2;
   }
+  const bool faulted = variant == "faulted";
+  std::fprintf(stderr, "running %s %zu %s...\n", protocol.c_str(), nodes,
+               variant.c_str());
 
-  for (const RunResult& r : results) print_json(r, messages, seed);
+  const auto join_spread = sim::Duration::seconds(20);
+  const auto grace = sim::Duration::seconds(20);
+  RunResult result;
+  if (protocol == "brisa") {
+    workload::BrisaSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = join_spread;
+    config.stabilization = sim::Duration::seconds(25);
+    result = run_cell<workload::BrisaSystem>(
+        protocol, config, messages, rate, payload, grace, faulted,
+        [](workload::BrisaSystem& system, net::NodeId id) -> const auto& {
+          return system.brisa(id).stats().delivery_time;
+        });
+  } else if (protocol == "gossip") {
+    workload::SimpleGossipSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.fanout = workload::gossip_fanout_for(nodes);
+    config.join_spread = join_spread;
+    config.stabilization = sim::Duration::seconds(10);
+    result = run_cell<workload::SimpleGossipSystem>(
+        protocol, config, messages, rate, payload, grace, faulted,
+        [](workload::SimpleGossipSystem& system, net::NodeId id)
+            -> const auto& { return system.node(id).stats().delivery_time; });
+  } else if (protocol == "tree") {
+    workload::SimpleTreeSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = join_spread;
+    config.stabilization = sim::Duration::seconds(10);
+    result = run_cell<workload::SimpleTreeSystem>(
+        protocol, config, messages, rate, payload, grace, faulted,
+        [](workload::SimpleTreeSystem& system, net::NodeId id)
+            -> const auto& { return system.node(id).stats().delivery_time; });
+  } else {
+    workload::TagSystem::Config config;
+    config.seed = seed;
+    config.num_nodes = nodes;
+    config.join_spread = join_spread;
+    config.stabilization = sim::Duration::seconds(20);
+    result = run_cell<workload::TagSystem>(
+        protocol, config, messages, rate, payload,
+        sim::Duration::seconds(30), faulted,
+        [](workload::TagSystem& system, net::NodeId id) -> const auto& {
+          return system.node(id).stats().delivery_time;
+        });
+  }
+  print_row(result);
+  print_json(result, messages, seed);
 
   // The scale claim under test: a clean BRISA broadcast delivers everything
-  // at every width. Passing vacuously is not passing — when the
-  // configuration ASKS for clean BRISA runs, zero of them is a failure. A
-  // configuration that deliberately requests none (a sweep cell running
-  // only gossip, or only the faulted variant) has nothing to validate and
-  // must not fail for it.
-  const bool expects_clean_brisa = wants("brisa") && wants_variant("clean");
-  bool ok = true;
-  std::size_t clean_brisa_runs = 0;
-  for (const RunResult& r : results) {
-    if (r.protocol != "brisa" || r.faulted) continue;
-    ++clean_brisa_runs;
-    if (!r.complete || r.reliability < 1.0) {
-      ok = false;
-      std::printf("scale check: brisa %zu nodes clean fell short "
-                  "(reliability %.4f%%, complete: %s)\n",
-                  r.nodes, r.reliability * 100.0, r.complete ? "yes" : "no");
-    }
-  }
-  if (!expects_clean_brisa) {
-    std::printf("scale check: skipped (configuration requests no clean "
-                "BRISA run)\n");
-    return 0;
-  }
-  if (clean_brisa_runs == 0) {
-    std::printf("scale check: NOT VALIDATED — no clean BRISA run in this "
-                "configuration\n");
+  // at every width.
+  if (protocol != "brisa" || faulted) return 0;
+  if (!result.complete || result.reliability < 1.0) {
+    std::printf("scale check: brisa %zu nodes clean fell short "
+                "(reliability %.4f%%, complete: %s)\n",
+                nodes, result.reliability * 100.0,
+                result.complete ? "yes" : "no");
     return 1;
   }
-  if (ok) {
-    std::printf("scale check: clean BRISA runs delivered 100%% at every "
-                "width\n");
-  }
-  return ok ? 0 : 1;
+  std::printf("scale check: clean BRISA delivered 100%% at %zu nodes\n",
+              nodes);
+  return 0;
 }
 
 }  // namespace brisa::reports::impl

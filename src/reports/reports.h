@@ -4,9 +4,9 @@
 // A Report couples a name ("fig02_flood_duplicates") to a run function that
 // consumes a workload::Scenario, the default scenario for that figure (the
 // same description that is checked in under scenarios/<name>.scn), and the
-// CLI surface of its thin bench wrapper. `brisa_run <file.scn>` and the
-// bench_* binaries both funnel into Report::run, so a scenario file and the
-// legacy command line produce byte-identical output. See DESIGN.md §10.
+// scenario keys the run function reads. `brisa_run <file.scn>` is the one
+// entry point, and [sweep] grids run a report once per cell. See DESIGN.md
+// §10.
 #pragma once
 
 #include <string>
@@ -20,13 +20,9 @@ struct Report {
   std::string name;
   /// One-line summary for `brisa_run --list` and the README matrix.
   std::string title;
-  /// Usage text of the bench wrapper (printed on --help and flag errors).
-  std::string usage;
-  /// Flags the bench wrapper accepts; anything else is an error.
-  std::vector<std::string> flags;
-  /// Flags routed into [params] even when their name matches a typed
-  /// scenario key (e.g. multi_stream's --streams sweep list).
-  std::vector<std::string> param_flags;
+  /// Dotted scenario paths the run function reads beyond its pinned
+  /// defaults, e.g. "scenario.nodes" or "params.views".
+  std::vector<std::string> consumed;
   workload::Scenario (*defaults)();
   int (*run)(const workload::Scenario&);
 };
@@ -37,27 +33,13 @@ struct Report {
 /// nullptr when no report has that name.
 [[nodiscard]] const Report* find(const std::string& name);
 
-/// Applies one CLI flag to a scenario: typed names route into their
-/// sections (--nodes, --seed, --messages, --rate, --payload, --streams,
-/// --subscription-fraction, --protocol), everything else lands in [params].
-/// Throws std::invalid_argument on malformed values.
-void apply_flag(workload::Scenario& scenario, const Report& report,
-                const std::string& name, const std::string& value);
-
 /// Rejects scenario keys a figure report does not consume. Returns a
 /// diagnostic (empty = fine) naming the first typed key or param that is
-/// neither reachable through the report's CLI surface nor part of its
-/// default scenario with an unchanged value — a figure would silently
-/// ignore such a key, which is exactly the fall-back-to-defaults failure
-/// this layer exists to prevent. The generic "run" report accepts
-/// everything.
+/// neither in the report's consumed list nor part of its default scenario
+/// with an unchanged value — a figure would silently ignore such a key,
+/// which is exactly the fall-back-to-defaults failure this layer exists to
+/// prevent. The generic "run" report accepts everything.
 [[nodiscard]] std::string scenario_key_error(
     const workload::Scenario& scenario, const Report& report);
-
-/// The entire main() of a thin bench wrapper: parse argv, print usage on
-/// --help, reject unknown/duplicate/positional arguments with usage text
-/// (exit 2), overlay the flags onto the report's default scenario, run.
-int figure_main(const std::string& report_name, int argc,
-                const char* const* argv);
 
 }  // namespace brisa::reports

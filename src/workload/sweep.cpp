@@ -367,9 +367,13 @@ int run_sweep(const Scenario& s, const SweepOptions& options) {
                                ? options.cell_timeout_s
                                : sweep_cell_timeout_s(s);
 
-  // Spool directory: per-cell stdout/stderr, the event log, metadata.
+  // Spool directory: per-cell stdout/stderr, the event log, metadata. A
+  // spool the executor creates itself is removed after a fully successful
+  // run and kept (path on stderr) for inspection otherwise; a --spool
+  // directory is the caller's and always stays.
   std::string spool = options.spool_dir;
-  if (spool.empty()) {
+  const bool own_spool = spool.empty();
+  if (own_spool) {
     // Honor TMPDIR (sandboxed CI, per-user tmp quotas); fall back to /tmp.
     const char* tmpdir = std::getenv("TMPDIR");
     std::string base = tmpdir != nullptr && tmpdir[0] != '\0' ? tmpdir : "/tmp";
@@ -482,6 +486,9 @@ int run_sweep(const Scenario& s, const SweepOptions& options) {
     }
     event("{\"event\":\"signal\",\"signo\":%d}\n", signo);
     if (events != nullptr) std::fclose(events);
+    if (own_spool) {
+      std::fprintf(stderr, "sweep: kept spool %s\n", spool.c_str());
+    }
     return 128 + signo;
   };
 
@@ -610,6 +617,14 @@ int run_sweep(const Scenario& s, const SweepOptions& options) {
                cells.size(), wall, cpu_seconds, speedup, jobs,
                max_rss_kb / 1024);
   std::fprintf(stderr, "%s\n", summary);
+  if (own_spool) {
+    if (failures == 0) {
+      std::error_code ignored;
+      std::filesystem::remove_all(spool, ignored);
+    } else {
+      std::fprintf(stderr, "sweep: kept spool %s\n", spool.c_str());
+    }
+  }
   return failures == 0 ? 0 : 1;
 }
 

@@ -73,7 +73,8 @@ struct SweepOptions {
   /// Concurrent worker processes (>= 1).
   int jobs = 1;
   /// Spool directory for per-cell stdout/stderr captures, the cells.jsonl
-  /// event log, meta.json and summary.json; empty = mkdtemp under /tmp.
+  /// event log, meta.json and summary.json; empty = mkdtemp under $TMPDIR
+  /// (or /tmp), removed after a fully successful run and kept otherwise.
   std::string spool_dir;
   /// CLI override of the scenario's cell-timeout-s (0 = scenario's value).
   double cell_timeout_s = 0.0;

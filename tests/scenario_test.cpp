@@ -283,8 +283,8 @@ TEST(FatTreeLatency, TierOrdering) {
 // --- The fig02 golden -------------------------------------------------------
 
 /// Every figure scenario checked into scenarios/ must describe exactly the
-/// registry's default scenario for its report — otherwise the file and the
-/// bench binary drift apart.
+/// registry's default scenario for its report — otherwise running the file
+/// and running the report's defaults drift apart.
 TEST(ScenarioGolden, CheckedInFilesMatchReportDefaults) {
   for (const reports::Report& report : reports::all()) {
     if (report.name == "run") continue;
@@ -332,6 +332,64 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Every figure report accepts a changed value on each scenario path it
+/// lists as consumed, and rejects a typed key or a param it does not read —
+/// a mistyped path in the registry would otherwise leave a key silently
+/// unreachable.
+TEST(ScenarioGolden, EveryReportAcceptsExactlyItsConsumedKeys) {
+  const auto changed_value = [](const std::string& path) -> std::string {
+    if (path == "scenario.protocol") return "tag";
+    if (path == "streams.rate-per-s") return "2.5";
+    if (path == "streams.subscription-fraction") return "0.5";
+    if (path.rfind("params.", 0) == 0) return "changed";
+    return "37";  // nodes, seed, messages, payload
+  };
+  for (const reports::Report& report : reports::all()) {
+    if (report.name == "run") continue;
+    SCOPED_TRACE(report.name);
+    const Scenario defaults = report.defaults();
+    EXPECT_EQ(reports::scenario_key_error(defaults, report), "");
+    for (const std::string& path : report.consumed) {
+      SCOPED_TRACE(path);
+      Scenario changed = defaults;
+      ASSERT_NO_THROW(changed.set_path(path, changed_value(path)));
+      EXPECT_NE(changed, defaults);
+      EXPECT_EQ(reports::scenario_key_error(changed, report), "");
+    }
+
+    Scenario multi = defaults;
+    multi.set("streams", "count", "3");
+    ASSERT_NE(multi, defaults);
+    EXPECT_NE(reports::scenario_key_error(multi, report), "");
+
+    Scenario unknown = defaults;
+    unknown.set("params", "no-such-param", "1");
+    EXPECT_NE(reports::scenario_key_error(unknown, report), "");
+  }
+}
+
+/// The one-cell scale and fault-recovery reports refuse a malformed cell
+/// selector (exit 2, before any simulation) instead of running a default.
+TEST(ScenarioGolden, CellReportsRejectMalformedSelectors) {
+  const reports::Report* fault = reports::find("fault_recovery");
+  const reports::Report* scale = reports::find("scale_sweep");
+  ASSERT_NE(fault, nullptr);
+  ASSERT_NE(scale, nullptr);
+  for (const char* regime :
+       {"loss_x", "loss_5x", "loss_101", "loss_", "partition_10", "partition_s",
+        "partition_1xs", "jitter_5"}) {
+    Scenario s = fault->defaults();
+    s.set("params", "regime", regime);
+    EXPECT_EQ(fault->run(s), 2) << regime;
+  }
+  Scenario tag = fault->defaults();
+  tag.set("scenario", "protocol", "tag");
+  EXPECT_EQ(fault->run(tag), 2);
+  Scenario variant = scale->defaults();
+  variant.set("params", "variant", "faulty");
+  EXPECT_EQ(scale->run(variant), 2);
 }
 
 /// The checked-in fig02 scenario reproduces the fig02 report output byte for

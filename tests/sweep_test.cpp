@@ -3,8 +3,9 @@
 // mapping, seed ranges), and end-to-end executor runs through the built
 // brisa_run binary — the merged stdout must be byte-identical for --jobs 1
 // and --jobs 4 (including a deterministically failing cell), a timed-out
-// cell is killed and retried exactly once, and SIGTERM to the scheduler
-// leaves no orphaned workers.
+// cell is killed and retried exactly once, SIGTERM to the scheduler leaves
+// no orphaned workers, and a self-created spool is removed after success
+// and kept after a failure.
 #include "workload/sweep.h"
 
 #include <gtest/gtest.h>
@@ -202,6 +203,11 @@ TEST(SweepExpansion, CheckedInGridsExpandClean) {
                                "/scenarios/scale_grid.scn"))
                 .size(),
             24u);
+  EXPECT_EQ(workload::expand_sweep(
+                Scenario::load(std::string(BRISA_SOURCE_DIR) +
+                               "/scenarios/fault_recovery_grid.scn"))
+                .size(),
+            18u);
 }
 
 // --- Run metadata -----------------------------------------------------------
@@ -246,9 +252,9 @@ std::string write_temp_scenario(const char* tag, const std::string& text) {
 }
 
 /// A scratch path under the test temp dir, removed (recursively) when the
-/// guard goes out of scope — also on an early ASSERT return. Sweeps run
-/// with an explicit --spool here: without one the executor creates and
-/// keeps a fresh brisa_sweep_XXXXXX directory per run.
+/// guard goes out of scope — also on an early ASSERT return. Sweeps that
+/// read their spool run with an explicit --spool here, which the executor
+/// never removes.
 struct ScratchPath {
   explicit ScratchPath(const std::string& tag)
       : path(::testing::TempDir() + "sweep_test_" + tag + "_" +
@@ -347,6 +353,64 @@ TEST(SweepExecutor, SweepOverridesShapeTheGridWithoutReachingWorkers) {
   EXPECT_EQ(result.out.find("\"seed\":1,"), std::string::npos) << result.out;
   EXPECT_EQ(result.out.find("\"seed\":3,"), std::string::npos) << result.out;
   std::remove(scn.c_str());
+}
+
+/// Runs a two-cell grid through brisa_run without --spool, with TMPDIR
+/// pointed at a fresh empty directory, and returns the names left in it.
+/// `min_reliability` 2 makes both cells fail deterministically.
+std::vector<std::string> spool_leftovers(const char* tag,
+                                         const char* min_reliability,
+                                         int* exit_code) {
+  const std::string scn = write_temp_scenario(
+      tag, std::string("[scenario]\n"
+                       "name = spool\n"
+                       "nodes = 32\n"
+                       "[streams]\n"
+                       "messages = 5\n"
+                       "payload = 64\n"
+                       "[run]\n"
+                       "join-spread-s = 5\n"
+                       "stabilization-s = 5\n"
+                       "grace-s = 10\n"
+                       "[params]\n"
+                       "min-reliability = ") +
+               min_reliability + "\n[sweep]\nseeds = 1..2\n");
+  const ScratchPath tmpdir(std::string(tag) + "_tmpdir");
+  std::filesystem::create_directories(tmpdir.path);
+  // gtest's TempDir() reads TEST_TMPDIR; the executor reads TMPDIR.
+  const CommandResult result =
+      run_command("TMPDIR=" + tmpdir.path + " " + kRunner + " --jobs 2 " +
+                  scn + " 2>/dev/null");
+  *exit_code = WIFEXITED(result.status) ? WEXITSTATUS(result.status) : -1;
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(tmpdir.path)) {
+    std::string name = entry.path().filename().string();
+    if (entry.is_directory() &&
+        std::filesystem::exists(entry.path() / "cells.jsonl")) {
+      name += "/cells.jsonl";
+    }
+    names.push_back(name);
+  }
+  std::remove(scn.c_str());
+  return names;
+}
+
+TEST(SweepExecutor, SuccessfulSweepRemovesItsOwnSpool) {
+  int exit_code = -1;
+  const std::vector<std::string> left =
+      spool_leftovers("spool_ok", "0", &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_TRUE(left.empty()) << left.front();
+}
+
+TEST(SweepExecutor, FailedSweepKeepsItsSpool) {
+  int exit_code = -1;
+  const std::vector<std::string> left =
+      spool_leftovers("spool_fail", "2", &exit_code);
+  EXPECT_EQ(exit_code, 1);
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0].rfind("brisa_sweep_", 0), 0u) << left[0];
+  EXPECT_NE(left[0].find("/cells.jsonl"), std::string::npos) << left[0];
 }
 
 TEST(SweepExecutor, JobsFlagWithoutSweepSectionIsAnError) {
